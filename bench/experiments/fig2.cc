@@ -7,7 +7,10 @@
  * including them — exactly the paper's setup.
  */
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 
 #include "base/simd.hh"
 #include "util.hh"
@@ -34,24 +37,43 @@ const PaperRow kPaper[] = {
 };
 
 /** TW_FIG2_ONLY_KB restricts the sweep to one cache size
- *  (perf-smoke mode; the default full sweep is unchanged). */
+ *  (perf-smoke mode; unset or empty keeps the full sweep). The value
+ *  must be a plain decimal size from Figure 2's table: trailing junk
+ *  ("1k") or a size the table lacks ("3") is fatal, never a silent
+ *  other row or an empty table. */
 unsigned
 onlyKb()
 {
-    if (const char *only = std::getenv("TW_FIG2_ONLY_KB"))
-        return static_cast<unsigned>(std::atoi(only));
-    return 0;
+    const char *only = std::getenv("TW_FIG2_ONLY_KB");
+    if (!only || !*only)
+        return 0;
+    char *end = nullptr;
+    errno = 0;
+    unsigned long kb = std::strtoul(only, &end, 10);
+    bool plain = std::isdigit(static_cast<unsigned char>(*only))
+                 && *end == '\0' && errno == 0;
+    for (const auto &paper : kPaper) {
+        if (plain && paper.kb == kb)
+            return paper.kb;
+    }
+    fatal("TW_FIG2_ONLY_KB: '%s' is not a Figure 2 cache size in KB "
+          "(1, 2, 4, ..., 1024)", only);
 }
 
 /** TW_FIG2_DCACHE=1 adds a unified-kind Tapeworm row per size. An
  *  I-cache run exercises the probe-free chunked inner loop; a
  *  unified cache delivers loads/stores too and so runs the filtered
- *  per-reference loop — the perf smoke measures both engines. */
+ *  per-reference loop — the perf smoke measures both engines. Only
+ *  0 and 1 are accepted (unset or empty means 0). */
 bool
 wantDcache()
 {
     const char *env = std::getenv("TW_FIG2_DCACHE");
-    return env && *env && *env != '0';
+    if (!env || !*env || std::strcmp(env, "0") == 0)
+        return false;
+    if (std::strcmp(env, "1") == 0)
+        return true;
+    fatal("TW_FIG2_DCACHE: '%s' must be 0 or 1", env);
 }
 
 ExperimentDef
@@ -103,6 +125,7 @@ make()
         unsigned only_kb = onlyKb();
         double tw_refs = 0.0, tw_secs = 0.0;
         double twd_refs = 0.0, twd_secs = 0.0;
+        double c2k_refs = 0.0, c2k_secs = 0.0;
         double sample_refs_sim = 0.0, sample_refs_total = 0.0;
         double sample_ci = 0.0;
         TextTable t({"size", "missRatio", "c2000.slow", "tw.slow",
@@ -135,6 +158,9 @@ make()
                 ctx.metric(csprintf("tw_refs_per_sec_%uK", paper.kb),
                            refsPerSec(trap));
             }
+            c2k_refs += static_cast<double>(trace.run.totalInstr()
+                                            + trace.run.dataRefs);
+            c2k_secs += trace.hostSeconds;
             if (wantDcache()) {
                 const RunOutcome &uni =
                     ctx.outcome(csprintf("twd/%uK", paper.kb));
@@ -172,6 +198,13 @@ make()
                 ctx.metric("twd_refs_per_sec", drate);
                 ctx.metric("twd_host_seconds", twd_secs);
             }
+            // The trace-driven comparator end to end: Pixie's
+            // annotated run plus Cache2000, per machine reference.
+            double crate = c2k_secs > 0.0 ? c2k_refs / c2k_secs : 0.0;
+            ctx.print("[report] pixie+cache2000 (observed loop) host "
+                      "rate: %.3fM refs/s\n", crate / 1.0e6);
+            ctx.metric("c2k_refs_per_sec", crate);
+            ctx.metric("c2k_host_seconds", c2k_secs);
             ctx.note("simd", simd::levelName(simd::activeLevel()));
         }
         if (sample_refs_total > 0.0) {

@@ -3,17 +3,21 @@
 #
 # Runs the instrumented large-cache fig2 row (1M icache, miss ratio
 # well under 1%) with TW_FIG2_DCACHE=1, so ONE run measures BOTH
-# engines on their hit-dominated configurations:
+# trap-driven engines on their hit-dominated configurations, plus the
+# Pixie+Cache2000 row the same grid always carries:
 #
 #   tw_refs_per_sec  — the probe-free chunked inner loop (I-cache:
 #                      no deliverable data kinds, bulk accounting,
 #                      SIMD same-page span consumption);
 #   twd_refs_per_sec — the filtered per-reference loop (unified
 #                      cache: loads/stores delivered, SIMD page-span
-#                      trap probes).
+#                      trap probes);
+#   c2k_refs_per_sec — the trace-driven comparator (Pixie+Cache2000
+#                      on the observed loop, run to each clock tick,
+#                      other tasks on the chunked loop).
 #
 # Each rate must be at least MIN_PCT percent of its checked-in floor
-# (scripts/perf_baseline.json). A regression that loses either fast
+# (scripts/perf_baseline.json). A regression that loses any fast
 # path shows up as a many-x drop, far below the threshold, while
 # machine-to-machine variation stays well above it. The run happens
 # in a scratch directory so the checked-in BENCH json is untouched.
@@ -46,7 +50,7 @@ json_num() {
 }
 
 status=0
-for key in tw_refs_per_sec twd_refs_per_sec; do
+for key in tw_refs_per_sec twd_refs_per_sec c2k_refs_per_sec; do
     rate=$(json_num "$T/BENCH_fig2_slowdowns.json" "$key")
     base=$(json_num "$BASELINE" "$key")
     if [ -z "$rate" ] || [ -z "$base" ]; then

@@ -99,6 +99,32 @@ struct TrapFilterView
 };
 
 /**
+ * The references an unfiltered client (null TrapFilterView) charges
+ * for: one task or every task, and a kind mask. A client that
+ * narrows its scope guarantees that onRef() is a side-effect-free
+ * no-op returning 0 cycles for every reference outside it, so the
+ * machine may run out-of-scope tasks on its chunked loop and skip
+ * out-of-scope kinds without a call. Fixed for the run.
+ */
+struct ObserveScope
+{
+    /** ObserveScope::task value meaning "every task". */
+    static constexpr TaskId kAnyTask = kInvalidTid;
+
+    TaskId task = kAnyTask; //!< the only task observed, or kAnyTask
+    unsigned kinds = TrapFilterView::kAllKinds;
+
+    /** Can a reference of task @p tid need delivery? */
+    bool covers(TaskId tid) const
+    {
+        return task == kAnyTask || task == tid;
+    }
+
+    /** Can an access of kind @p k need delivery? */
+    bool wants(AccessKind k) const { return kinds & trapKindBit(k); }
+};
+
+/**
  * Observer/participant hooks for memory simulation.
  */
 class SimClient
@@ -113,6 +139,14 @@ class SimClient
      * keep the null default because they must see every reference.
      */
     virtual TrapFilterView trapFilter() const { return {}; }
+
+    /**
+     * Which references an unfiltered client charges for (see
+     * ObserveScope). Ignored when trapFilter() is non-null. The
+     * default observes everything; a client narrows it only when
+     * onRef() is a side-effect-free zero outside the narrower scope.
+     */
+    virtual ObserveScope observeScope() const { return {}; }
 
     /**
      * One memory reference was executed.

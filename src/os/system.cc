@@ -247,6 +247,16 @@ System::step(Task &task)
     }
 }
 
+bool
+System::delivers(const Task &task, Addr pa, AccessKind kind) const
+{
+    if (!client_)
+        return false;
+    if (hasFilter_)
+        return filter_.wants(kind) && filter_.test(pa);
+    return scope_.covers(task.tid) && scope_.wants(kind);
+}
+
 void
 System::dataStepFast(Task &task)
 {
@@ -259,9 +269,7 @@ System::dataStepFast(Task &task)
                           ? AccessKind::Store
                           : AccessKind::Load;
     ++result_.dataRefs;
-    if (client_
-        && (!hasFilter_
-            || (filter_.wants(kind) && filter_.test(pa))))
+    if (delivers(task, pa, kind))
         cycles_ += client_->onRef(task, va, pa, intrMasked_, kind);
 }
 
@@ -280,10 +288,7 @@ System::stepFast(Task &task)
     cycles_ += cfg_.cpiBase;
     ++result_.instr[static_cast<unsigned>(task.component)];
     ++task.executed;
-    if (client_
-        && (!hasFilter_
-            || (filter_.wants(AccessKind::Fetch)
-                && filter_.test(pa))))
+    if (delivers(task, pa, AccessKind::Fetch))
         cycles_ += client_->onRef(task, va, pa, intrMasked_,
                                   AccessKind::Fetch);
     if (task.dataStream) [[likely]] {
@@ -323,10 +328,10 @@ System::runInner(Task &task, Counter h)
 {
     // The event horizon: the caller guarantees no tick, syscall,
     // budget or quantum boundary falls within the next h
-    // instructions PROVIDED each costs exactly cpiBase. A step that
-    // charges extra cycles (a page fault or a simulated miss) may
-    // have moved the tick boundary, so stop there and let the
-    // caller recompute.
+    // instructions PROVIDED each costs exactly cpiBase. In the
+    // chunked and filtered loops, a step that charges extra cycles
+    // (a page fault or a simulated miss) may have moved the tick
+    // boundary, so they stop there and let the caller recompute.
     //
     // All per-step bookkeeping lives in locals and is settled once
     // at exit. The out-of-line paths a step can take — stream
@@ -337,9 +342,11 @@ System::runInner(Task &task, Counter h)
     // changes.
     if (h == 0)
         return 0;
-    // A client without a trap filter must observe every reference;
-    // take the generic loop with its per-ref virtual call.
-    if (client_ && !hasFilter_)
+    // A client without a trap filter must observe every reference
+    // in its scope; take the generic loop with its per-ref virtual
+    // call. A task outside the scope never reaches the client, so
+    // it runs the chunked loop below like an uninstrumented one.
+    if (client_ && !hasFilter_ && scope_.covers(task.tid))
         return runInnerObserved(task, h);
     // A filter that can deliver data references (Load or Store in
     // the kind mask) pins the fetch/data interleave: take the
@@ -792,25 +799,32 @@ Counter
 System::runInnerObserved(Task &task, Counter h)
 {
     // Generic event-horizon loop for clients that must see every
-    // reference (no trap filter). Unlike the filtered loops, an
-    // unfiltered client may legitimately read the machine state its
-    // callback can reach — System::now() (the write-buffer model
-    // does exactly that) or the task's public counters — so the
-    // architectural state is kept exact at every call, in legacy
-    // step() order: translate, charge cpiBase, bump the counters,
-    // then the call. Only fast-path-internal state (buffer
-    // positions, the per-slice instruction count) stays in locals.
+    // reference in their observe scope (no trap filter). Unlike the
+    // filtered loops, an unfiltered client may legitimately read the
+    // machine state its callback can reach — System::now() (the
+    // write-buffer model does exactly that) or the task's public
+    // counters — so cycles and counters are kept exact at every
+    // call, in legacy step() order: translate, charge cpiBase, bump
+    // the counters, then the call. Only fast-path-internal state
+    // (buffer positions, the per-slice instruction count) stays in
+    // locals.
+    //
+    // Because cycles_ is exact after every step, the loop needs no
+    // stop-on-charge: it runs to the clock tick itself. The legacy
+    // loop steps first and checks the tick after, so stopping right
+    // after the step that makes the tick due reproduces its order.
+    // The other horizon terms are instruction counts that h already
+    // bounds, and a masked burst never checks the clock at all.
     SimClient *const cl = client_;
-    const std::uint64_t *const fbits = hasFilter_ ? filter_.bits
-                                                  : nullptr;
-    const unsigned fshift = filter_.shift;
-    const bool want_fetch = filter_.wants(AccessKind::Fetch);
-    const bool want_load = filter_.wants(AccessKind::Load);
-    const bool want_store = filter_.wants(AccessKind::Store);
+    const bool want_fetch = scope_.wants(AccessKind::Fetch);
+    const bool want_load = scope_.wants(AccessKind::Load);
+    const bool want_store = scope_.wants(AccessKind::Store);
     const Addr off = kHostPageBytes - 1;
     const Counter dpm = dataPerMille_;
     const bool masked = intrMasked_;
     const Cycles cpi = cfg_.cpiBase;
+    const Cycles tick =
+        masked ? ~static_cast<Cycles>(0) : clock_.nextAt();
 
     StreamBuf &fb = task.fetchBuf;
     StreamBuf &db = task.dataBuf;
@@ -824,7 +838,6 @@ System::runInnerObserved(Task &task, Counter h)
     const unsigned store_every = spec_.storeEvery;
 
     Counter done = 0;
-    bool extra = false;
     const Counter dataRefs0 = result_.dataRefs;
 
     for (;;) {
@@ -840,35 +853,18 @@ System::runInnerObserved(Task &task, Counter h)
             pa = ipaBase + (va & off);
         } else {
             Pfn pfn = frames[(page - vaBase) / kHostPageBytes];
-            if (pfn >= 0) [[likely]] {
-                pa = static_cast<Addr>(pfn) * kHostPageBytes
-                     + (va & off);
-            } else {
-                Cycles c0 = cycles_;
-                pa = translate(task, va);
-                extra |= cycles_ != c0;
-            }
+            pa = pfn >= 0 ? static_cast<Addr>(pfn) * kHostPageBytes
+                                + (va & off)
+                          : translate(task, va);
             ivaPage = page;
             ipaBase = pa & ~off;
         }
         cycles_ += cpi;
         ++done;
         ++task.executed;
-        if (fbits) {
-            std::uint64_t g = pa >> fshift;
-            if (want_fetch
-                && ((fbits[g >> 6] >> (g & 63)) & 1)) [[unlikely]] {
-                Cycles r = cl->onRef(task, va, pa, masked,
-                                     AccessKind::Fetch);
-                cycles_ += r;
-                extra |= r != 0;
-            }
-        } else if (cl) {
-            Cycles r = cl->onRef(task, va, pa, masked,
+        if (want_fetch)
+            cycles_ += cl->onRef(task, va, pa, masked,
                                  AccessKind::Fetch);
-            cycles_ += r;
-            extra |= r != 0;
-        }
         if (dstream) [[likely]] {
             task.dataRefCredit += dpm;
             while (task.dataRefCredit >= 1000) [[unlikely]] {
@@ -886,45 +882,23 @@ System::runInnerObserved(Task &task, Counter h)
                 } else {
                     Pfn pfn =
                         frames[(dpage - vaBase) / kHostPageBytes];
-                    if (pfn >= 0) [[likely]] {
-                        dpa = static_cast<Addr>(pfn)
-                                  * kHostPageBytes
-                              + (dva & off);
-                    } else {
-                        Cycles c0 = cycles_;
-                        dpa = translate(task, dva);
-                        extra |= cycles_ != c0;
-                    }
+                    dpa = pfn >= 0 ? static_cast<Addr>(pfn)
+                                             * kHostPageBytes
+                                         + (dva & off)
+                                   : translate(task, dva);
                     dvaPage = dpage;
                     dpaBase = dpa & ~off;
                 }
                 ++task.dataRefCount;
                 ++result_.dataRefs;
-                AccessKind kind =
-                    task.dataRefCount % store_every == 0
-                        ? AccessKind::Store
-                        : AccessKind::Load;
-                if (fbits) {
-                    bool want = kind == AccessKind::Store
-                                    ? want_store
-                                    : want_load;
-                    std::uint64_t g = dpa >> fshift;
-                    if (want && ((fbits[g >> 6] >> (g & 63)) & 1))
-                        [[unlikely]] {
-                        Cycles r = cl->onRef(task, dva, dpa,
-                                             masked, kind);
-                        cycles_ += r;
-                        extra |= r != 0;
-                    }
-                } else if (cl) {
-                    Cycles r = cl->onRef(task, dva, dpa, masked,
-                                         kind);
-                    cycles_ += r;
-                    extra |= r != 0;
-                }
+                bool store = task.dataRefCount % store_every == 0;
+                if (store ? want_store : want_load)
+                    cycles_ += cl->onRef(task, dva, dpa, masked,
+                                         store ? AccessKind::Store
+                                               : AccessKind::Load);
             }
         }
-        if (extra || done == h)
+        if (done == h || cycles_ >= tick)
             break;
     }
 
@@ -975,8 +949,9 @@ System::runBurstFast(Task &task, Counter len, Counter masked_prefix)
     bool outer_masked = intrMasked_;
     if (outer_masked) {
         // The whole burst runs masked; the legacy loop never checks
-        // the clock here, so neither do we — runInner's early-out on
-        // extra cycles just means looping until the burst is done.
+        // the clock here, so neither do we — an inner loop's early
+        // out on extra cycles just means looping until the burst is
+        // done.
         for (Counter i = 0; i < len;)
             i += runInner(task, len - i);
         return;
@@ -1060,10 +1035,7 @@ System::clockTick()
             Addr va = base + handlerPos_;
             handlerPos_ = (handlerPos_ + kWordBytes) % kHandlerBytes;
             Addr pa = translateFast(*kernel_, va, handlerTlb_);
-            if (client_
-                && (!hasFilter_
-                    || (filter_.wants(AccessKind::Fetch)
-                        && filter_.test(pa))))
+            if (delivers(*kernel_, pa, AccessKind::Fetch))
                 cycles_ += client_->onRef(*kernel_, va, pa, true);
         }
         cycles_ += cfg_.tickHandlerInstr * cfg_.cpiBase;
@@ -1162,6 +1134,7 @@ System::run()
     if (client_ && !slowPath_) {
         filter_ = client_->trapFilter();
         hasFilter_ = filter_.bits != nullptr;
+        scope_ = client_->observeScope();
     }
     simdWide_ = simd::wide();
 

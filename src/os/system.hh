@@ -189,6 +189,9 @@ class System
     void flushObsCounters();
 
     Addr translateFast(Task &task, Addr va, MicroTlb &tlb);
+    /** Must the client see this reference (trap filter or observe
+     *  scope)? */
+    bool delivers(const Task &task, Addr pa, AccessKind kind) const;
     void stepFast(Task &task);
     void dataStepFast(Task &task);
     Counter runInner(Task &task, Counter h);
@@ -236,6 +239,8 @@ class System
      *  storage address is stable for the run; see TrapFilterView). */
     TrapFilterView filter_{};
     bool hasFilter_ = false;
+    /** An unfiltered client's observe scope, cached beside filter_. */
+    ObserveScope scope_{};
     /** Translation cache for the clock handler's references, which
      *  would otherwise thrash the kernel task's fetch entry. */
     MicroTlb handlerTlb_;

@@ -40,6 +40,17 @@ Cache2000::processAddr(Addr va, TaskId tid)
     ref.paLine = ref.vaLine; // virtual trace: no physical mapping
     ref.tid = tid;
 
+    // Same line and task as the previous cache access: nothing has
+    // touched cache_ since, so the line is resident and holds the
+    // newest stamp of all. The access is a guaranteed hit, and
+    // skipping its LRU stamp bump keeps every stamp in the same
+    // order, so no later victim changes under any policy.
+    if (ref.vaLine == lastLine_ && tid == lastTid_ && haveLast_) {
+        ++stats_.hits;
+        stats_.cycles += cfg_.hitCycles;
+        return cfg_.hitCycles;
+    }
+
     if (!allSampled_ && !sampledSets_[cache_.setIndexOf(ref)]) {
         // Software filtering: unlike Tapeworm, the simulator still
         // has to look at the address to reject it.
@@ -49,6 +60,9 @@ Cache2000::processAddr(Addr va, TaskId tid)
     }
 
     AccessResult res = cache_.access(ref);
+    lastLine_ = ref.vaLine;
+    lastTid_ = tid;
+    haveLast_ = true;
     Cycles cost = cfg_.hitCycles;
     if (res.hit) {
         ++stats_.hits;

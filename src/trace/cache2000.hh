@@ -106,6 +106,11 @@ class Cache2000 : public TraceSink
     bool allSampled_;
     std::vector<bool> sampledSets_;
     Cache2000Stats stats_;
+    /** Line and task of the previous cache_ access (the same-line
+     *  memo in processAddr; only processAddr mutates cache_). */
+    Addr lastLine_ = 0;
+    TaskId lastTid_ = kInvalidTid;
+    bool haveLast_ = false;
 };
 
 } // namespace tw

@@ -98,6 +98,13 @@ class HybridClient : public SimClient
         return cost;
     }
 
+    /** Only the annotated task's fetches are charged (see onRef). */
+    ObserveScope
+    observeScope() const override
+    {
+        return {target_, trapKindBit(AccessKind::Fetch)};
+    }
+
     const HybridStats &stats() const { return stats_; }
     const Cache &cache() const { return cache_; }
 

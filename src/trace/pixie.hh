@@ -84,6 +84,13 @@ class PixieClient : public SimClient
         return cost;
     }
 
+    /** Only the target's fetches are charged (see onRef). */
+    ObserveScope
+    observeScope() const override
+    {
+        return {target_, trapKindBit(AccessKind::Fetch)};
+    }
+
     Counter traced() const { return traced_; }
 
   private:

@@ -101,6 +101,14 @@ class TraceBufferClient : public SimClient
         return cost;
     }
 
+    /** Every task's fetches, no data references (see onRef). */
+    ObserveScope
+    observeScope() const override
+    {
+        return {ObserveScope::kAnyTask,
+                trapKindBit(AccessKind::Fetch)};
+    }
+
     /** Process whatever is buffered (call at end of run so the tail
      *  is not lost). Returns the simulator cycles consumed. */
     Cycles

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -210,6 +211,60 @@ TEST(Experiment, RowJsonExcludesHostTiming)
     EXPECT_EQ(row.find("hostSeconds"), nullptr);
     ASSERT_NE(row.find("outcome"), nullptr);
     EXPECT_EQ(row.find("outcome")->find("hostSeconds"), nullptr);
+}
+
+/** fig2's grid under one environment setting, in a death-test
+ *  child (the knob is read when the grid is built). */
+void
+fig2GridWith(const char *name, const char *value)
+{
+    ::setenv(name, value, 1);
+    ExperimentRegistry::instance().find("fig2")->grid(2000);
+    std::exit(0);
+}
+
+TEST(Fig2EnvDeath, OnlyKbRejectsTrailingJunk)
+{
+    // atoi used to read "1k" as the 1K row.
+    EXPECT_EXIT(fig2GridWith("TW_FIG2_ONLY_KB", "1k"),
+                ::testing::ExitedWithCode(1), "TW_FIG2_ONLY_KB: '1k'");
+    EXPECT_EXIT(fig2GridWith("TW_FIG2_ONLY_KB", " 4"),
+                ::testing::ExitedWithCode(1), "TW_FIG2_ONLY_KB");
+}
+
+TEST(Fig2EnvDeath, OnlyKbRejectsSizesMissingFromFigure2)
+{
+    // "3" used to print an empty table and exit 0.
+    EXPECT_EXIT(fig2GridWith("TW_FIG2_ONLY_KB", "3"),
+                ::testing::ExitedWithCode(1), "TW_FIG2_ONLY_KB: '3'");
+    EXPECT_EXIT(fig2GridWith("TW_FIG2_ONLY_KB", "2048"),
+                ::testing::ExitedWithCode(1), "TW_FIG2_ONLY_KB");
+}
+
+TEST(Fig2EnvDeath, DcacheAcceptsOnlyZeroOrOne)
+{
+    // "false" used to count as on.
+    EXPECT_EXIT(fig2GridWith("TW_FIG2_DCACHE", "false"),
+                ::testing::ExitedWithCode(1), "TW_FIG2_DCACHE: 'false'");
+    EXPECT_EXIT(fig2GridWith("TW_FIG2_DCACHE", "2"),
+                ::testing::ExitedWithCode(1), "TW_FIG2_DCACHE");
+}
+
+TEST(Fig2Env, StrictKnobsKeepTheirValidValues)
+{
+    const ExperimentDef *fig2 = ExperimentRegistry::instance().find("fig2");
+    ::setenv("TW_FIG2_ONLY_KB", "16", 1);
+    ::setenv("TW_FIG2_DCACHE", "1", 1);
+    std::vector<std::string> ids;
+    for (const ExperimentUnit &unit : fig2->grid(2000))
+        ids.push_back(unit.id);
+    EXPECT_EQ(ids, (std::vector<std::string>{"tw/16K", "twd/16K",
+                                             "c2k/16K"}));
+    ::setenv("TW_FIG2_ONLY_KB", "", 1);
+    ::setenv("TW_FIG2_DCACHE", "0", 1);
+    EXPECT_EQ(fig2->grid(2000).size(), 22u);
+    ::unsetenv("TW_FIG2_ONLY_KB");
+    ::unsetenv("TW_FIG2_DCACHE");
 }
 
 } // namespace

@@ -8,6 +8,7 @@
  */
 
 #include <cstdlib>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,12 @@
 #include "harness/mux_client.hh"
 #include "harness/oracle.hh"
 #include "harness/runner.hh"
+#include "obs/metrics.hh"
 #include "os/system.hh"
+#include "trace/cache2000.hh"
+#include "trace/hybrid.hh"
+#include "trace/pixie.hh"
+#include "trace/trace_buffer.hh"
 
 namespace tw
 {
@@ -194,25 +200,328 @@ TEST(FastPath, BitIdenticalUninstrumented)
     expectSameRun(fast.run, slow.run);
 }
 
+struct TraceRun
+{
+    RunResult run;
+    Cache2000Stats stats;
+    std::vector<LineInfo> lines;
+};
+
+/** Replicates Runner's Pixie+Cache2000 attachment but keeps the
+ *  comparator's full statistics and final contents. */
+TraceRun
+runTrace(const RunSpec &spec, std::uint64_t seed, bool slow)
+{
+    ScopedSlowPath sp(slow);
+    SystemConfig sys = spec.sys;
+    sys.trialSeed = seed;
+    System system(sys, spec.workload);
+    Cache2000Config cfg = spec.c2k;
+    if (cfg.sampleSeed == 0)
+        cfg.sampleSeed = mixSeed(seed, 0x7e57);
+    Cache2000 c2k(cfg);
+    PixieClient pixie(spec.traceTarget, &c2k, spec.pixie);
+    system.setClient(&pixie);
+    TraceRun out;
+    out.run = system.run();
+    out.stats = c2k.stats();
+    out.lines = c2k.cache().validLines();
+    return out;
+}
+
+void
+expectSameLines(const std::vector<LineInfo> &fast,
+                const std::vector<LineInfo> &slow)
+{
+    ASSERT_EQ(fast.size(), slow.size());
+    for (std::size_t i = 0; i < fast.size(); ++i) {
+        EXPECT_EQ(fast[i].tagLine, slow[i].tagLine) << i;
+        EXPECT_EQ(fast[i].paLine, slow[i].paLine) << i;
+        EXPECT_EQ(fast[i].tid, slow[i].tid) << i;
+        EXPECT_EQ(fast[i].dirty, slow[i].dirty) << i;
+    }
+}
+
 TEST(FastPath, BitIdenticalTraceDriven)
 {
     // Trace clients publish no filter: the fast path must still
-    // deliver every reference to them.
-    RunSpec spec = baseSpec();
-    spec.sim = SimKind::TraceDriven;
-    spec.c2k.cache = CacheConfig::icache(4096, 16, 1,
-                                         Indexing::Virtual);
-    RunOutcome fast, slow;
+    // deliver every in-scope reference to them. Pixie's charge on
+    // every fetch no longer ends the inner loop (it runs to the
+    // clock tick), other tasks take the chunked loop, and Cache2000
+    // answers same-line repeats from its memo — none of which may
+    // change a cycle, a count or a resident line, for any geometry,
+    // replacement policy, set sample or seed.
+    struct Geometry
     {
-        ScopedSlowPath sp(false);
-        fast = Runner::runOne(spec, 13);
+        unsigned assoc;
+        ReplPolicy policy;
+        unsigned sampleDenom;
+    };
+    const Geometry kGeometries[] = {
+        {1, ReplPolicy::LRU, 1},    {2, ReplPolicy::LRU, 1},
+        {2, ReplPolicy::FIFO, 1},   {2, ReplPolicy::Random, 1},
+        {4, ReplPolicy::LRU, 1},    {4, ReplPolicy::FIFO, 1},
+        {4, ReplPolicy::Random, 1}, {2, ReplPolicy::LRU, 4},
+    };
+    auto check = [](const RunSpec &spec, std::uint64_t seed) {
+        TraceRun fast = runTrace(spec, seed, false);
+        TraceRun slow = runTrace(spec, seed, true);
+        expectSameRun(fast.run, slow.run);
+        EXPECT_EQ(fast.stats.refs, slow.stats.refs);
+        EXPECT_EQ(fast.stats.filtered, slow.stats.filtered);
+        EXPECT_EQ(fast.stats.hits, slow.stats.hits);
+        EXPECT_EQ(fast.stats.misses, slow.stats.misses);
+        EXPECT_EQ(fast.stats.cycles, slow.stats.cycles);
+        expectSameLines(fast.lines, slow.lines);
+    };
+    for (const Geometry &g : kGeometries) {
+        for (std::uint64_t seed : {13u, 29u, 41u}) {
+            SCOPED_TRACE(csprintf("%u-way %s 1/%u seed %llu", g.assoc,
+                                  replPolicyName(g.policy),
+                                  g.sampleDenom,
+                                  static_cast<unsigned long long>(
+                                      seed)));
+            RunSpec spec = baseSpec();
+            spec.sim = SimKind::TraceDriven;
+            spec.c2k.cache = CacheConfig::icache(4096, 16, g.assoc,
+                                                 Indexing::Virtual);
+            spec.c2k.cache.policy = g.policy;
+            spec.c2k.sampleDenom = g.sampleDenom;
+            check(spec, seed);
+        }
     }
+
+    // A one-cycle charge per fetch makes a step land exactly on the
+    // tick cycle at a third of all tick crossings: the tick is due
+    // at equality, so the loop must stop there too.
+    RunSpec cheap = baseSpec();
+    cheap.sim = SimKind::TraceDriven;
+    cheap.c2k.cache = CacheConfig::icache(4096, 16, 1,
+                                          Indexing::Virtual);
+    cheap.pixie.genCycles = 0;
+    cheap.c2k.hitCycles = 1;
+    cheap.c2k.missExtraCycles = 0;
+    for (std::uint64_t seed : {13u, 29u, 41u}) {
+        SCOPED_TRACE(csprintf("one-cycle charge seed %llu",
+                              static_cast<unsigned long long>(seed)));
+        check(cheap, seed);
+    }
+}
+
+TEST(FastPath, BitIdenticalHybrid)
+{
+    // The hybrid annotation is unfiltered and charges every target
+    // fetch, like Pixie; ousterhout gives it 14 other user tasks to
+    // run outside its observe scope.
+    for (std::uint64_t seed : {7u, 37u}) {
+        HybridConfig cfg;
+        cfg.cache = CacheConfig::icache(2048, 16, 2, Indexing::Virtual);
+        RunResult run[2];
+        HybridStats stats[2];
+        std::vector<LineInfo> lines[2];
+        for (bool slow : {false, true}) {
+            ScopedSlowPath sp(slow);
+            SystemConfig sys;
+            sys.trialSeed = seed;
+            System system(sys, makeWorkload("ousterhout", 1000));
+            HybridClient hybrid(kFirstUserTaskId, cfg);
+            system.setClient(&hybrid);
+            run[slow] = system.run();
+            stats[slow] = hybrid.stats();
+            lines[slow] = hybrid.cache().validLines();
+        }
+        expectSameRun(run[0], run[1]);
+        EXPECT_EQ(stats[0].refs, stats[1].refs);
+        EXPECT_EQ(stats[0].misses, stats[1].misses);
+        EXPECT_EQ(stats[0].cycles, stats[1].cycles);
+        expectSameLines(lines[0], lines[1]);
+    }
+}
+
+TEST(FastPath, BitIdenticalTraceBuffer)
+{
+    // The kernel trace buffer observes every task's fetches (no data
+    // references) and charges a whole drain on the fetch that fills
+    // it: a small buffer puts many large charges mid-horizon. It
+    // also sees the clock handler's fetches, so a tick taken one
+    // step late would reorder its trace; a one-cycle append lands a
+    // step exactly on the tick cycle often enough to show that.
+    for (std::uint64_t seed : {7u, 37u}) {
+        TraceBufferConfig cfg;
+        cfg.cache = CacheConfig::icache(4096, 16, 1, Indexing::Virtual);
+        cfg.bufferEntries = 512;
+        cfg.writeCycles = 1;
+        RunResult run[2];
+        TraceBufferStats stats[2];
+        for (bool slow : {false, true}) {
+            ScopedSlowPath sp(slow);
+            SystemConfig sys;
+            sys.trialSeed = seed;
+            System system(sys, makeWorkload("mpeg_play", 4000));
+            TraceBufferClient client(cfg);
+            system.setClient(&client);
+            run[slow] = system.run();
+            client.drain();
+            stats[slow] = client.stats();
+        }
+        expectSameRun(run[0], run[1]);
+        EXPECT_EQ(stats[0].refs, stats[1].refs);
+        EXPECT_EQ(stats[0].drains, stats[1].drains);
+        EXPECT_EQ(stats[0].cycles, stats[1].cycles);
+        for (unsigned c = 0; c < kNumComponents; ++c)
+            EXPECT_EQ(stats[0].misses[c], stats[1].misses[c])
+                << componentName(static_cast<Component>(c));
+    }
+}
+
+/** An unfiltered client that charges a cycle per fetch (and now and
+ *  then a "miss") and folds every delivered reference, with the
+ *  machine's cycle count at the call, into an order-sensitive hash. */
+class RecordingClient : public SimClient
+{
+  public:
+    Cycles
+    onRef(const Task &task, Addr va, Addr pa, bool intr_masked,
+          AccessKind kind) override
     {
-        ScopedSlowPath sp(true);
-        slow = Runner::runOne(spec, 13);
+        for (std::uint64_t v :
+             {static_cast<std::uint64_t>(task.tid), va, pa,
+              static_cast<std::uint64_t>(intr_masked),
+              static_cast<std::uint64_t>(kind)})
+            hash_ = mixSeed(hash_, v);
+        // The clock handler's base cycles are charged in bulk after
+        // its loop (SimClient::bindClock), so only other tasks'
+        // calls promise the exact count.
+        if (task.tid != kKernelTid)
+            hash_ = mixSeed(hash_, *now_);
+        ++calls_;
+        if (kind != AccessKind::Fetch)
+            return 0;
+        return va % 97 == 0 ? 50 : 1;
     }
-    expectSameRun(fast.run, slow.run);
-    EXPECT_DOUBLE_EQ(fast.rawMisses, slow.rawMisses);
+
+    void bindClock(const Cycles *now) override { now_ = now; }
+
+    std::uint64_t hash() const { return hash_; }
+    Counter calls() const { return calls_; }
+
+  private:
+    const Cycles *now_ = nullptr;
+    std::uint64_t hash_ = 0;
+    Counter calls_ = 0;
+};
+
+TEST(FastPath, ObservedLoopKeepsLegacyOrderAndClock)
+{
+    // The observed loop's contract, seen from the client: every
+    // reference arrives in legacy order with the exact cycle count
+    // at the call. With many tasks and a one-cycle charge, a step
+    // often lands exactly on the tick cycle; taking the tick one
+    // step late would move the clock handler's fetches (and the
+    // preemption after it) in the sequence.
+    for (std::uint64_t seed : {3u, 11u}) {
+        std::uint64_t hash[2];
+        Counter calls[2];
+        RunResult run[2];
+        for (bool slow : {false, true}) {
+            ScopedSlowPath sp(slow);
+            SystemConfig sys;
+            sys.trialSeed = seed;
+            System system(sys, makeWorkload("ousterhout", 4000));
+            RecordingClient client;
+            system.setClient(&client);
+            run[slow] = system.run();
+            hash[slow] = client.hash();
+            calls[slow] = client.calls();
+        }
+        expectSameRun(run[0], run[1]);
+        EXPECT_EQ(calls[0], calls[1]) << seed;
+        EXPECT_EQ(hash[0], hash[1]) << seed;
+    }
+}
+
+/** Forwards to a client but hides its observe scope, so the machine
+ *  treats it as observing everything (the dispatch before scopes). */
+class UnscopedClient : public SimClient
+{
+  public:
+    explicit UnscopedClient(SimClient *inner) : inner_(inner) {}
+
+    Cycles
+    onRef(const Task &task, Addr va, Addr pa, bool intr_masked,
+          AccessKind kind) override
+    {
+        return inner_->onRef(task, va, pa, intr_masked, kind);
+    }
+
+  private:
+    SimClient *inner_;
+};
+
+struct ScopeRun
+{
+    RunResult run;
+    Counter traced = 0;
+    Counter observed = 0; //!< engine.refs.observed during the run
+    Counter chunked = 0;  //!< engine.refs.chunked during the run
+};
+
+ScopeRun
+runPixieScoped(bool scoped)
+{
+    static obs::Counter observed =
+        obs::registry().counter("engine.refs.observed");
+    static obs::Counter chunked =
+        obs::registry().counter("engine.refs.chunked");
+    SystemConfig sys;
+    sys.trialSeed = 3;
+    System system(sys, makeWorkload("ousterhout", 1000));
+    Cache2000Config cfg;
+    cfg.cache = CacheConfig::icache(4096, 16, 1, Indexing::Virtual);
+    Cache2000 c2k(cfg);
+    PixieClient pixie(kFirstUserTaskId, &c2k);
+    UnscopedClient unscoped(&pixie);
+    system.setClient(scoped ? static_cast<SimClient *>(&pixie)
+                            : &unscoped);
+    Counter observed0 = observed.value(), chunked0 = chunked.value();
+    ScopeRun out;
+    out.run = system.run();
+    out.traced = pixie.traced();
+    out.observed = observed.value() - observed0;
+    out.chunked = chunked.value() - chunked0;
+    return out;
+}
+
+TEST(FastPath, ObserveScopeMovesOtherTasksToChunkedLoop)
+{
+    // Pixie's scope is its target's fetches. Kernel, server and the
+    // other user tasks' references must leave the observed loop for
+    // the chunked one, without changing the run.
+    ScopeRun scoped = runPixieScoped(true);
+    ScopeRun all = runPixieScoped(false);
+    expectSameRun(scoped.run, all.run);
+    EXPECT_EQ(scoped.traced, all.traced);
+
+    // Everything runs observed without a scope.
+    EXPECT_EQ(all.chunked, 0u);
+    EXPECT_GT(all.observed, 0u);
+
+    // With it, only the target's refs do: its fetches (each traced)
+    // and the data references they carry.
+    Counter per_mille = static_cast<Counter>(
+        makeWorkload("ousterhout", 1000).dataRefsPer1k);
+    Counter target_refs =
+        scoped.traced + (scoped.traced * per_mille) / 1000 + 1;
+    EXPECT_LE(scoped.observed, target_refs);
+    EXPECT_GT(scoped.observed, target_refs / 2);
+
+    // The rest moved to the chunked loop. The two runs count the
+    // same refs except where a page fault ends a chunked call near
+    // a tick and leaves one step (a fetch and at most one data ref)
+    // to the uncounted per-step path.
+    Counter slack = 2 * scoped.run.faults;
+    EXPECT_LE(scoped.observed + scoped.chunked, all.observed + slack);
+    EXPECT_GE(scoped.observed + scoped.chunked + slack, all.observed);
 }
 
 struct TlbRun

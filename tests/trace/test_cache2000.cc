@@ -118,6 +118,61 @@ TEST(Cache2000, TaskTagsSeparateAddressSpaces)
     EXPECT_EQ(sim.stats().misses, 2u);
 }
 
+TEST(Cache2000, SameLineMemoMatchesBareCacheUnderEveryPolicy)
+{
+    // processAddr answers a repeat of the previous line and task
+    // without searching the cache or bumping its LRU stamp. Against
+    // a bare Cache::access loop on the same stream, that must change
+    // neither a count nor a victim: long same-line runs (sequential
+    // fetches inside one 16-byte line, loops re-fetching it) with
+    // two tasks interleaved at random, in a 1 KB 4-way cache small
+    // enough to evict constantly.
+    for (ReplPolicy policy :
+         {ReplPolicy::LRU, ReplPolicy::FIFO, ReplPolicy::Random}) {
+        Cache2000Config cfg;
+        cfg.cache = CacheConfig::icache(1024, 16, 4, Indexing::Virtual);
+        cfg.cache.tagIncludesTask = true;
+        cfg.cache.policy = policy;
+        cfg.cache.seed = 99;
+        Cache2000 sim(cfg);
+        Cache bare(cfg.cache);
+
+        Rng rng(31);
+        Counter hits = 0, misses = 0;
+        Addr va = 0x400000;
+        for (int i = 0; i < 40000; ++i) {
+            if (rng.chance(0.15))
+                va = 0x400000 + rng.below(96) * 16; // new line
+            else if (rng.chance(0.5))
+                va = (va & ~Addr{15}) + rng.below(4) * 4; // same line
+            TaskId tid = rng.chance(0.1) ? 2 : 1;
+            Cycles cost = sim.processAddr(va, tid);
+
+            LineRef ref{va >> 4, va >> 4, tid};
+            bool hit = bare.access(ref).hit;
+            hits += hit;
+            misses += !hit;
+            EXPECT_EQ(cost, hit ? cfg.hitCycles
+                                : cfg.hitCycles + cfg.missExtraCycles)
+                << replPolicyName(policy) << " ref " << i;
+        }
+        const char *name = replPolicyName(policy);
+        EXPECT_EQ(sim.stats().hits, hits) << name;
+        EXPECT_EQ(sim.stats().misses, misses) << name;
+        EXPECT_EQ(sim.stats().cycles,
+                  hits * cfg.hitCycles
+                      + misses * (cfg.hitCycles + cfg.missExtraCycles))
+            << name;
+        for (Addr line = 0x40000; line < 0x40000 + 96; ++line) {
+            for (TaskId tid : {1, 2}) {
+                LineRef ref{line, line, tid};
+                EXPECT_EQ(sim.cache().contains(ref), bare.contains(ref))
+                    << name << " line " << line << " tid " << tid;
+            }
+        }
+    }
+}
+
 TEST(Cache2000Death, PhysicalIndexingRejected)
 {
     Cache2000Config cfg;
