@@ -7,8 +7,6 @@
  * including them — exactly the paper's setup.
  */
 
-#include <cctype>
-#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 
@@ -47,11 +45,8 @@ onlyKb()
     const char *only = std::getenv("TW_FIG2_ONLY_KB");
     if (!only || !*only)
         return 0;
-    char *end = nullptr;
-    errno = 0;
-    unsigned long kb = std::strtoul(only, &end, 10);
-    bool plain = std::isdigit(static_cast<unsigned char>(*only))
-                 && *end == '\0' && errno == 0;
+    std::uint64_t kb = 0;
+    bool plain = parseDecimal(only, ~std::uint64_t{0}, kb);
     for (const auto &paper : kPaper) {
         if (plain && paper.kb == kb)
             return paper.kb;
@@ -60,11 +55,12 @@ onlyKb()
           "(1, 2, 4, ..., 1024)", only);
 }
 
-/** TW_FIG2_DCACHE=1 adds a unified-kind Tapeworm row per size. An
- *  I-cache run exercises the probe-free chunked inner loop; a
- *  unified cache delivers loads/stores too and so runs the filtered
- *  per-reference loop — the perf smoke measures both engines. Only
- *  0 and 1 are accepted (unset or empty means 0). */
+/** TW_FIG2_DCACHE=1 adds a unified-kind Tapeworm row per size. Both
+ *  run the chunked inner loop: an I-cache filter delivers fetches
+ *  only, so its data refs always drain as spans, while a unified
+ *  filter delivers loads/stores too and probes the data pages that
+ *  carry trap bits — the perf smoke measures both. Only 0 and 1 are
+ *  accepted (unset or empty means 0). */
 bool
 wantDcache()
 {
@@ -193,7 +189,7 @@ make()
             if (wantDcache()) {
                 double drate =
                     twd_secs > 0.0 ? twd_refs / twd_secs : 0.0;
-                ctx.print("[report] tapeworm unified (filtered loop) "
+                ctx.print("[report] tapeworm unified (chunked loop) "
                           "host rate: %.3fM refs/s\n", drate / 1.0e6);
                 ctx.metric("twd_refs_per_sec", drate);
                 ctx.metric("twd_host_seconds", twd_secs);

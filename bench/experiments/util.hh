@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "base/env.hh"
 #include "base/logging.hh"
 #include "base/table.hh"
 #include "harness/experiment.hh"
@@ -112,18 +113,17 @@ applySampleEnv(RunSpec &spec)
 /**
  * TW_CI_TARGET (set by `bench_driver --ci-target`): an adaptive
  * trial-stopping rule at that relative CI half-width; disabled when
- * unset or non-positive.
+ * unset, empty or zero. A value that is not a plain decimal ("0.1x",
+ * "-1") is fatal.
  */
 inline StopRule
 stopRuleFromEnv()
 {
     StopRule rule;
-    if (const char *env = std::getenv("TW_CI_TARGET")) {
-        double target = std::atof(env);
-        if (target > 0.0) {
-            rule.enabled = true;
-            rule.ciRelTarget = target;
-        }
+    double target = envDouble("TW_CI_TARGET", 0.0);
+    if (target > 0.0) {
+        rule.enabled = true;
+        rule.ciRelTarget = target;
     }
     return rule;
 }

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Full verification pass: configure, build, run all tests (serial
-# and with parallel trial dispatch), run a ThreadSanitizer build of
-# the parallel harness tests, then run every bench binary.
+# Full verification pass: configure, build, run all tests (serial,
+# with parallel trial dispatch, and under ASan+UBSan), run a
+# ThreadSanitizer build of the parallel harness tests, then run every
+# bench binary.
 # TW_SCALE_DIV can shrink the workloads for a quick smoke run
 # (e.g. TW_SCALE_DIV=2000 ./scripts/check.sh).
 set -e
@@ -20,6 +21,14 @@ cmake --build build
 TW_SAMPLE=0 TW_THREADS=1 ctest --test-dir build --output-on-failure -j"$(nproc)"
 TW_THREADS=4 ctest --test-dir build --output-on-failure -j"$(nproc)"
 TW_NO_SIMD=1 ctest --test-dir build --output-on-failure -j"$(nproc)"
+
+# Tier-1 suite once more under AddressSanitizer + UndefinedBehavior-
+# Sanitizer (TW_SANITIZE=address enables both; any UB report aborts
+# the test): out-of-bounds buffer walks, use-after-free across task
+# teardown, signed overflow and bad shifts in the bitmap math.
+cmake -B build-asan -G Ninja -DTW_SANITIZE=address
+cmake --build build-asan
+ctest --test-dir build-asan --output-on-failure -j"$(nproc)"
 
 # ThreadSanitizer pass over the concurrency-bearing suites, so the
 # Runner baseline-memo race stays fixed. Death tests fork, which

@@ -3,15 +3,16 @@
 #
 # Runs the instrumented large-cache fig2 row (1M icache, miss ratio
 # well under 1%) with TW_FIG2_DCACHE=1, so ONE run measures BOTH
-# trap-driven engines on their hit-dominated configurations, plus the
+# trap-driven filters on their hit-dominated configurations, plus the
 # Pixie+Cache2000 row the same grid always carries:
 #
-#   tw_refs_per_sec  — the probe-free chunked inner loop (I-cache:
-#                      no deliverable data kinds, bulk accounting,
+#   tw_refs_per_sec  — the chunked inner loop on an I-cache filter
+#                      (no deliverable data kinds: bulk accounting,
 #                      SIMD same-page span consumption);
-#   twd_refs_per_sec — the filtered per-reference loop (unified
-#                      cache: loads/stores delivered, SIMD page-span
-#                      trap probes);
+#   twd_refs_per_sec — the same chunked loop on a unified-cache
+#                      filter (loads/stores probed on data pages with
+#                      trap bits and delivered mid-chunk, SIMD
+#                      page-span trap probes);
 #   c2k_refs_per_sec — the trace-driven comparator (Pixie+Cache2000
 #                      on the observed loop, run to each clock tick,
 #                      other tasks on the chunked loop).

@@ -1,9 +1,10 @@
 #include "base/thread_pool.hh"
 
 #include <atomic>
-#include <cstdlib>
+#include <limits>
 #include <vector>
 
+#include "base/env.hh"
 #include "base/numa.hh"
 
 namespace tw
@@ -85,11 +86,8 @@ std::atomic<unsigned> default_threads_override{0};
 unsigned
 envThreads()
 {
-    const char *env = std::getenv("TW_THREADS");
-    if (!env || !*env)
-        return 0;
-    long v = std::strtol(env, nullptr, 10);
-    return v > 0 ? static_cast<unsigned>(v) : 0;
+    return static_cast<unsigned>(envUnsigned(
+        "TW_THREADS", 0, std::numeric_limits<unsigned>::max()));
 }
 
 } // anonymous namespace

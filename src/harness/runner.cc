@@ -1,11 +1,12 @@
 #include "harness/runner.hh"
 
 #include <chrono>
-#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <mutex>
 
 #include "base/arena.hh"
+#include "base/env.hh"
 #include "base/logging.hh"
 #include "base/lru_map.hh"
 #include "harness/oracle.hh"
@@ -39,12 +40,9 @@ constexpr std::size_t kDefaultBaselineCap = 4096;
 std::size_t
 envBaselineCap()
 {
-    if (const char *cap = std::getenv("TW_BASELINE_CAP")) {
-        long v = std::atol(cap);
-        if (v > 0)
-            return static_cast<std::size_t>(v);
-    }
-    return kDefaultBaselineCap;
+    std::size_t v = envUnsigned("TW_BASELINE_CAP", 0,
+                                std::numeric_limits<std::size_t>::max());
+    return v > 0 ? v : kDefaultBaselineCap;
 }
 
 std::mutex baselinesMutex;

@@ -193,8 +193,8 @@ Addr
 System::translateFast(Task &task, Addr va, MicroTlb &tlb)
 {
     // Translation cache over translate(). Translations never change
-    // while a task runs (mappings only grow; teardown and the DMA
-    // recycle path flush these entries), so a hit is exact.
+    // while a task runs (mappings only grow; the DMA recycle path
+    // flushes the cache anyway), so a hit is exact.
     Addr page = va & ~static_cast<Addr>(kHostPageBytes - 1);
     MicroTlb::Entry &e = tlb.slot(page);
     if (e.vaPage == page && e.gen == tlb.gen) [[likely]] {
@@ -257,49 +257,6 @@ System::delivers(const Task &task, Addr pa, AccessKind kind) const
     return scope_.covers(task.tid) && scope_.wants(kind);
 }
 
-void
-System::dataStepFast(Task &task)
-{
-    if (task.dataBuf.empty())
-        task.dataBuf.fill(*task.dataStream);
-    Addr va = task.dataBuf.take();
-    Addr pa = translateFast(task, va, task.dtlb);
-    ++task.dataRefCount;
-    AccessKind kind = task.dataRefCount % spec_.storeEvery == 0
-                          ? AccessKind::Store
-                          : AccessKind::Load;
-    ++result_.dataRefs;
-    if (delivers(task, pa, kind))
-        cycles_ += client_->onRef(task, va, pa, intrMasked_, kind);
-}
-
-void
-System::stepFast(Task &task)
-{
-    // step() with its three per-reference costs removed: the stream
-    // is consumed through a prefetched batch, the translation through
-    // a last-page cache, and the client is called only when its trap
-    // filter says the reference might miss — the software analogue of
-    // the paper's "hits run at full hardware speed".
-    if (task.fetchBuf.empty())
-        task.fetchBuf.fill(*task.stream);
-    Addr va = task.fetchBuf.take();
-    Addr pa = translateFast(task, va, task.itlb);
-    cycles_ += cfg_.cpiBase;
-    ++result_.instr[static_cast<unsigned>(task.component)];
-    ++task.executed;
-    if (delivers(task, pa, AccessKind::Fetch))
-        cycles_ += client_->onRef(task, va, pa, intrMasked_,
-                                  AccessKind::Fetch);
-    if (task.dataStream) [[likely]] {
-        task.dataRefCredit += dataPerMille_;
-        while (task.dataRefCredit >= 1000) {
-            task.dataRefCredit -= 1000;
-            dataStepFast(task);
-        }
-    }
-}
-
 namespace
 {
 
@@ -329,17 +286,16 @@ System::runInner(Task &task, Counter h)
     // The event horizon: the caller guarantees no tick, syscall,
     // budget or quantum boundary falls within the next h
     // instructions PROVIDED each costs exactly cpiBase. In the
-    // chunked and filtered loops, a step that charges extra cycles
-    // (a page fault or a simulated miss) may have moved the tick
-    // boundary, so they stop there and let the caller recompute.
+    // chunked loop, a step that charges extra cycles (a page fault
+    // or a simulated miss) may have moved the tick boundary, so it
+    // stops there and lets the caller recompute.
     //
     // All per-step bookkeeping lives in locals and is settled once
     // at exit. The out-of-line paths a step can take — stream
     // refill, page-table walk, client miss handler — never read the
-    // deferred counters or the task's buffers/micro-TLBs (mappings
-    // only grow, and unmap paths flush between slices), so keeping
-    // them in registers is invisible; only the hot path's cost
-    // changes.
+    // deferred counters or the task's buffers (mappings only grow,
+    // and unmap paths run between slices), so keeping them in
+    // registers is invisible; only the hot path's cost changes.
     if (h == 0)
         return 0;
     // A client without a trap filter must observe every reference
@@ -348,40 +304,42 @@ System::runInner(Task &task, Counter h)
     // it runs the chunked loop below like an uninstrumented one.
     if (client_ && !hasFilter_ && scope_.covers(task.tid))
         return runInnerObserved(task, h);
-    // A filter that can deliver data references (Load or Store in
-    // the kind mask) pins the fetch/data interleave: take the
-    // per-step filtered loop.
-    if (hasFilter_
-        && (filter_.wants(AccessKind::Load)
-            || filter_.wants(AccessKind::Store)))
-        return runInnerFiltered(task, h);
 
-    // Chunked specialization: data references can never be
-    // delivered here (no Load/Store in the kind mask — e.g. an
-    // icache Tapeworm — or no client at all). A fetch on a mapped,
-    // probe-free page then has NO observable side effect, so whole
-    // same-page spans of the prefetch buffer are consumed with one
-    // compare per address and accounted in bulk; per-step credit
-    // arithmetic collapses to one multiply per chunk. Data refs
-    // drain in their exact order at chunk end. The one observable
-    // mid-chunk event is a data-side page FAULT (it arms pages and
-    // may charge cycles): when one lands, the fetch position simply
-    // rewinds to the fault's owning step — the over-consumed
-    // fetches were probe-free, so there is nothing to undo but the
-    // pointer — and the loop resumes (or stops) exactly where the
-    // per-step path would.
+    // Chunked loop, for trap-filtered clients and uninstrumented
+    // runs. A fetch on a mapped, probe-free page has NO observable
+    // side effect, so whole same-page spans of the prefetch buffer
+    // are consumed with one compare per address and accounted in
+    // bulk; per-step credit arithmetic collapses to one multiply per
+    // chunk. The data refs the chunk owes drain at its end in their
+    // exact order: runs on a mapped, probe-free data page go as
+    // spans too, while a ref on an unmapped page (a FAULT: arming,
+    // cycles) or on a page with trap bits goes singly. An observable
+    // data event — the fault, or a trap the filter delivers — must
+    // not be followed by fetches that in exact order come after it,
+    // so the fetch pointer rewinds to the event's owning step (the
+    // over-consumed fetches were probe-free: there is nothing to
+    // undo but the pointer), that step's remaining data refs finish
+    // in exact order (each may fault or trap again), and the chunk
+    // ends exactly where the per-step path would.
     SimClient *const cl = client_;
     const unsigned fshift = filter_.shift;
     const std::uint64_t *const fetch_bits =
         (hasFilter_ && filter_.wants(AccessKind::Fetch))
             ? filter_.bits
             : nullptr;
+    const bool want_load = hasFilter_ && filter_.wants(AccessKind::Load);
+    const bool want_store =
+        hasFilter_ && filter_.wants(AccessKind::Store);
+    const std::uint64_t *const data_bits =
+        (want_load || want_store) ? filter_.bits : nullptr;
     const Addr off = kHostPageBytes - 1;
     const bool masked = intrMasked_;
 
     StreamBuf &fb = task.fetchBuf;
     StreamBuf &db = task.dataBuf;
     RefStream *const dstream = task.dataStream.get();
+    // dpm == 0 keeps the credit below the data-ref threshold, so a
+    // task without a data stream never reaches the drain.
     const Counter dpm = dstream ? dataPerMille_ : 0;
     Addr *const fstart = fb.buf.data();
     const Addr *fp = fstart + fb.pos;
@@ -394,12 +352,11 @@ System::runInner(Task &task, Counter h)
     const Addr vaBase = task.pageTable.vaBase();
     const Pfn *const frames = task.pageTable.framesData();
     Addr ivaPage = kInvalidAddr, ipaBase = 0;
-    Addr dvaPage = kInvalidAddr;
-    bool fprobe = false;
+    Addr dvaPage = kInvalidAddr, dpaBase = 0;
+    bool fprobe = false, dprobe = false;
     Counter credit = task.dataRefCredit;
-    // No store phase here: data kinds can never be delivered in
-    // this loop, and the load/store split is derived from
-    // dataRefCount whenever a per-step path needs it next.
+    const Counter ref0 = task.dataRefCount;
+    const unsigned store_every = spec_.storeEvery;
 
     Counter data_refs = 0;
     Counter probed = 0;
@@ -465,7 +422,7 @@ System::runInner(Task &task, Counter h)
             // chunk instead of page steps. An unmapped or trapped
             // page ends the merge: its fault/probe must happen in
             // exact legacy order, which the top of the loop
-            // provides. (A data fault mid-drain still rewinds to its
+            // provides. (A data event mid-drain still rewinds to its
             // owning step and invalidates the page cache, so merged
             // spans undo just like single-page ones.) A pending
             // fetch-fault charge limits the chunk to its own step.
@@ -503,89 +460,95 @@ System::runInner(Task &task, Counter h)
         }
         credit += n * dpm;
         if (credit >= 1000) [[unlikely]] {
-            // Drain the owed data refs in same-page spans: a ref on
-            // the cached (mapped) data page has no observable side
-            // effect here — data kinds are never deliverable — so a
-            // whole run of them is one wide scan plus pointer math.
-            // Only page transitions are handled singly, and only an
-            // unmapped one (a FAULT: arming, cycles) rewinds the
-            // fetch pointer to its owning step, exactly like the
-            // per-ref drain did.
             Counter pending = credit / 1000;
             credit -= pending * 1000;
             Counter drained = 0;
+            // Owning step of the first data event, if one happened.
+            Counter s = 0;
             while (drained < pending) {
                 if (dp == dend) [[unlikely]] {
                     db.fill(*dstream);
                     dp = dstart;
                     dend = dstart + db.len;
                 }
-                Counter avail = pending - drained;
-                if (avail > static_cast<Counter>(dend - dp))
-                    avail = static_cast<Counter>(dend - dp);
                 Addr dva = *dp;
                 Addr dpage = dva & ~off;
-                if (dpage == dvaPage) [[likely]] {
+                bool event = false;
+                if (dpage != dvaPage) [[unlikely]] {
+                    Pfn pfn = frames[(dpage - vaBase) / kHostPageBytes];
+                    if (pfn < 0) [[unlikely]] {
+                        Cycles c0 = cycles_;
+                        pfn = static_cast<Pfn>(translate(task, dva)
+                                               / kHostPageBytes);
+                        if (cycles_ != c0)
+                            stop_after = true;
+                        event = true;
+                    }
+                    dvaPage = dpage;
+                    dpaBase = static_cast<Addr>(pfn) * kHostPageBytes;
+                    span_ops += data_bits != nullptr;
+                    dprobe = data_bits
+                             && pageSpanTrapped(data_bits, fshift,
+                                                dpaBase);
+                }
+                if (!dprobe && !event) [[likely]] {
+                    // Clear, mapped page: the whole same-page run is
+                    // one wide scan plus pointer math.
+                    Counter avail = pending - drained;
+                    if (avail > static_cast<Counter>(dend - dp))
+                        avail = static_cast<Counter>(dend - dp);
                     ++span_ops;
                     Counter k = 1
                                 + static_cast<Counter>(
-                                    simd::samePageSpan(
-                                        dp + 1, dp + avail, ~off,
-                                        dvaPage));
+                                    simd::samePageSpan(dp + 1,
+                                                       dp + avail, ~off,
+                                                       dvaPage));
                     dp += k;
                     drained += k;
                     continue;
                 }
-                Pfn pfn = frames[(dpage - vaBase) / kHostPageBytes];
-                if (pfn >= 0) [[likely]] {
-                    // Mapped page transition: adopt it; the next
-                    // iteration consumes the ref inside a span.
-                    dvaPage = dpage;
-                    continue;
-                }
-                // The fault is observable (arming, cycles), so the
-                // steps bulk-executed past its owner must not have
-                // happened yet. Rewind the fetch pointer to the
-                // owning step s, finish that step's remaining data
-                // refs, and re-enter with fresh probe state.
-                Cycles c0 = cycles_;
-                translate(task, dva);
-                if (cycles_ != c0)
-                    stop_after = true;
-                dvaPage = dpage;
+                // A fault or a page with trap bits: one exact ref,
+                // probed and delivered with the kind dataStep() would
+                // give it.
                 ++dp;
                 ++drained;
-                Counter s = (drained * 1000 - credit0 + dpm - 1)
-                            / dpm;
-                Counter total = (credit0 + s * dpm) / 1000;
-                while (drained < total) {
-                    ++drained;
-                    if (dp == dend) [[unlikely]] {
-                        db.fill(*dstream);
-                        dp = dstart;
-                        dend = dstart + db.len;
-                    }
-                    Addr xva = *dp++;
-                    Addr xpage = xva & ~off;
-                    if (xpage != dvaPage) {
-                        Pfn xp = frames[(xpage - vaBase)
-                                        / kHostPageBytes];
-                        if (xp < 0) {
-                            Cycles cc = cycles_;
-                            translate(task, xva);
-                            if (cycles_ != cc)
-                                stop_after = true;
-                        }
-                        dvaPage = xpage;
+                if (dprobe) {
+                    ++probed;
+                    bool store =
+                        (ref0 + data_refs + drained) % store_every == 0;
+                    Addr dpa = dpaBase + (dva & off);
+                    std::uint64_t g = dpa >> fshift;
+                    if ((store ? want_store : want_load)
+                        && ((data_bits[g >> 6] >> (g & 63)) & 1)) {
+                        Cycles r = cl->onRef(task, dva, dpa, masked,
+                                             store ? AccessKind::Store
+                                                   : AccessKind::Load);
+                        cycles_ += r;
+                        if (r != 0)
+                            stop_after = true;
+                        // The handler may have moved traps anywhere.
+                        dvaPage = kInvalidAddr;
+                        event = true;
                     }
                 }
-                fp = fp0 + s;
-                credit = credit0 + s * dpm - total * 1000;
-                n = s;
-                ivaPage = kInvalidAddr;
-                break;
+                if (event && s == 0) {
+                    // The event is observable, so the steps bulk-
+                    // executed past its owning step s must not have
+                    // happened yet: the drain stops at the end of s's
+                    // data refs (each may fault or trap again).
+                    s = (drained * 1000 - credit0 + dpm - 1) / dpm;
+                    pending = (credit0 + s * dpm) / 1000;
+                }
             }
             data_refs += drained;
+            if (s != 0) {
+                // Rewind the fetch pointer to s and re-enter with
+                // fresh probe state.
+                fp = fp0 + s;
+                credit = credit0 + s * dpm - pending * 1000;
+                n = s;
+                ivaPage = kInvalidAddr;
+            }
         }
         left -= n;
         if (stop_after || left == 0)
@@ -610,197 +573,11 @@ System::runInner(Task &task, Counter h)
 }
 
 Counter
-System::runInnerFiltered(Task &task, Counter h)
-{
-    // Filtered per-step specialization. Beyond the generic
-    // loop's deferred counters, this one caches per L0 page whether
-    // ANY trap bit covers the page: trap bits can only change inside
-    // a client call or a page-fault, both of which invalidate the L0
-    // entries here, so between those events a clear page lets a ref
-    // skip the probe — and the physical address that feeds it —
-    // entirely. A steady-state hit is then a buffer load, a page
-    // compare and loop arithmetic: the software equivalent of the
-    // paper's hits-run-at-hardware-speed property.
-    SimClient *const cl = client_;
-    const unsigned fshift = filter_.shift;
-    const std::uint64_t *const fetch_bits =
-        (hasFilter_ && filter_.wants(AccessKind::Fetch))
-            ? filter_.bits
-            : nullptr;
-    const bool want_load = filter_.wants(AccessKind::Load);
-    const bool want_store = filter_.wants(AccessKind::Store);
-    const std::uint64_t *const data_bits =
-        (hasFilter_ && (want_load || want_store)) ? filter_.bits
-                                                  : nullptr;
-    const Addr off = kHostPageBytes - 1;
-    const bool masked = intrMasked_;
-
-    StreamBuf &fb = task.fetchBuf;
-    StreamBuf &db = task.dataBuf;
-    RefStream *const dstream = task.dataStream.get();
-    // dpm == 0 keeps the credit below the data-ref threshold, so a
-    // task without a data stream never reaches the drain loop and
-    // the per-iteration stream test disappears.
-    const Counter dpm = dstream ? dataPerMille_ : 0;
-    // Buffers walk by pointer: one compare doubles as both the
-    // bounds check and the refill trigger. Executed-step count is
-    // reconstructed from the pointer travel, so the steady-state
-    // iteration carries no counter but the countdown itself.
-    Addr *const fstart = fb.buf.data();
-    const Addr *fp = fstart + fb.pos;
-    const Addr *fend = fstart + fb.len;
-    Addr *const dstart = db.buf.data();
-    const Addr *dp = dstart + db.pos;
-    const Addr *dend = dstart + db.len;
-    const unsigned fpos0 = fb.pos;
-    Counter consumed_base = 0;
-    // Translation inlines the dense page-table walk: base pointer
-    // and window base are loop-invariant (the frame array never
-    // reallocates), and a last-page L0 in locals skips even the
-    // table load on sequential runs.
-    const Addr vaBase = task.pageTable.vaBase();
-    const Pfn *const frames = task.pageTable.framesData();
-    Addr ivaPage = kInvalidAddr, ipaBase = 0;
-    Addr dvaPage = kInvalidAddr, dpaBase = 0;
-    bool fprobe = false, dprobe = false;
-    Counter credit = task.dataRefCredit;
-    const unsigned store_every = dstream ? spec_.storeEvery : 1;
-    unsigned store_phase =
-        dstream ? static_cast<unsigned>(task.dataRefCount
-                                        % store_every)
-                : 0;
-
-    Counter data_refs = 0;
-    Counter probed = 0;
-    Counter span_ops = 0;
-    // Countdown to the horizon. A step that charges extra cycles
-    // must be the last one of this call (legacy `extra` semantics);
-    // every such site simply forces `left = 1` so the shared
-    // decrement at the bottom exits after the step completes —
-    // keeping a rare-event flag out of the per-step exit test.
-    Counter left = h;
-
-    for (;;) {
-        if (fp == fend) [[unlikely]] {
-            consumed_base += static_cast<Counter>(fp - fstart);
-            fb.fill(*task.stream);
-            fp = fstart;
-            fend = fstart + fb.len;
-        }
-        Addr va = *fp++;
-        Addr page = va & ~off;
-        if (page != ivaPage) [[unlikely]] {
-            Pfn pfn = frames[(page - vaBase) / kHostPageBytes];
-            if (pfn >= 0) [[likely]] {
-                ipaBase = static_cast<Addr>(pfn) * kHostPageBytes;
-            } else {
-                Cycles c0 = cycles_;
-                ipaBase = translate(task, va) & ~off;
-                if (cycles_ != c0)
-                    left = 1;
-                // The fault armed freshly mapped pages.
-                dvaPage = kInvalidAddr;
-            }
-            ivaPage = page;
-            span_ops += fetch_bits != nullptr;
-            fprobe = fetch_bits
-                     && pageSpanTrapped(fetch_bits, fshift, ipaBase);
-        }
-        if (fprobe) [[unlikely]] {
-            ++probed;
-            Addr pa = ipaBase + (va & off);
-            std::uint64_t g = pa >> fshift;
-            if ((fetch_bits[g >> 6] >> (g & 63)) & 1) [[unlikely]] {
-                Cycles r = cl->onRef(task, va, pa, masked,
-                                     AccessKind::Fetch);
-                cycles_ += r;
-                if (r != 0)
-                    left = 1;
-                // The handler may have moved traps anywhere.
-                ivaPage = kInvalidAddr;
-                dvaPage = kInvalidAddr;
-            }
-        }
-        credit += dpm;
-        while (credit >= 1000) [[unlikely]] {
-            credit -= 1000;
-            if (dp == dend) [[unlikely]] {
-                db.fill(*dstream);
-                dp = dstart;
-                dend = dstart + db.len;
-            }
-            Addr dva = *dp++;
-            Addr dpage = dva & ~off;
-            if (dpage != dvaPage) [[unlikely]] {
-                Pfn pfn = frames[(dpage - vaBase) / kHostPageBytes];
-                if (pfn >= 0) [[likely]] {
-                    dpaBase = static_cast<Addr>(pfn)
-                              * kHostPageBytes;
-                } else {
-                    Cycles c0 = cycles_;
-                    dpaBase = translate(task, dva) & ~off;
-                    if (cycles_ != c0)
-                        left = 1;
-                    ivaPage = kInvalidAddr;
-                }
-                dvaPage = dpage;
-                span_ops += data_bits != nullptr;
-                dprobe = data_bits
-                         && pageSpanTrapped(data_bits, fshift,
-                                            dpaBase);
-            }
-            if (++store_phase == store_every)
-                store_phase = 0;
-            ++data_refs;
-            if (dprobe) [[unlikely]] {
-                ++probed;
-                bool want = store_phase == 0 ? want_store
-                                             : want_load;
-                Addr dpa = dpaBase + (dva & off);
-                std::uint64_t g = dpa >> fshift;
-                if (want
-                    && ((data_bits[g >> 6] >> (g & 63)) & 1))
-                    [[unlikely]] {
-                    AccessKind kind = store_phase == 0
-                                          ? AccessKind::Store
-                                          : AccessKind::Load;
-                    Cycles r = cl->onRef(task, dva, dpa, masked,
-                                         kind);
-                    cycles_ += r;
-                    if (r != 0)
-                        left = 1;
-                    ivaPage = kInvalidAddr;
-                    dvaPage = kInvalidAddr;
-                }
-            }
-        }
-        if (--left == 0)
-            break;
-    }
-
-    const Counter done = consumed_base
-                         + static_cast<Counter>(fp - fstart) - fpos0;
-    fb.pos = static_cast<unsigned>(fp - fstart);
-    db.pos = static_cast<unsigned>(dp - dstart);
-    task.dataRefCredit = credit;
-    task.dataRefCount += data_refs;
-    result_.dataRefs += data_refs;
-    cycles_ += done * cfg_.cpiBase;
-    result_.instr[static_cast<unsigned>(task.component)] += done;
-    task.executed += done;
-    obsRefsFiltered_ += done + data_refs;
-    obsProbeHits_ += probed;
-    obsProbeSkips_ += done + data_refs - probed;
-    (simdWide_ ? obsSimdWide_ : obsSimdScalar_) += span_ops;
-    return done;
-}
-
-Counter
 System::runInnerObserved(Task &task, Counter h)
 {
     // Generic event-horizon loop for clients that must see every
-    // reference in their observe scope (no trap filter). Unlike the
-    // filtered loops, an unfiltered client may legitimately read the
+    // reference in their observe scope (no trap filter). Unlike a
+    // filtered client, an unfiltered one may legitimately read the
     // machine state its callback can reach — System::now() (the
     // write-buffer model does exactly that) or the task's public
     // counters — so cycles and counters are kept exact at every
@@ -964,19 +741,12 @@ System::runBurstFast(Task &task, Counter len, Counter masked_prefix)
         i += runInner(task, prefix - i);
     intrMasked_ = false;
 
-    // Unmasked remainder: batch to the tick horizon, exactly like
-    // runSliceFast but with no syscall countdown.
-    Counter i = prefix;
-    while (i < len) {
-        Counter h = std::min(len - i, clockHorizon());
-        if (h == 0) {
-            stepFast(task);
-            ++i;
-            if (clock_.due(cycles_))
-                clockTick();
-            continue;
-        }
-        i += runInner(task, h);
+    // Unmasked remainder: batch to the tick horizon (a zero horizon
+    // runs one step), exactly like runSliceFast but with no syscall
+    // countdown.
+    for (Counter i = prefix; i < len;) {
+        i += runInner(task, std::max<Counter>(
+                                1, std::min(len - i, clockHorizon())));
         if (clock_.due(cycles_))
             clockTick();
     }
@@ -1055,11 +825,9 @@ System::clockTick()
             if (client_)
                 client_->onDmaInvalidate(victim);
             // Host translations do not actually change on a DMA
-            // recycle, but drop the cached ones anyway: the recycled
-            // frame may be handed to a new task the moment the old
-            // one exits, and a one-entry cache is cheap to refill.
-            for (auto &t : tasks_)
-                t->flushTranslations();
+            // recycle, but drop the handler's cached ones anyway: the
+            // recycled frame may be handed to a new task the moment
+            // the old one exits, and the cache is cheap to refill.
             handlerTlb_.flush();
         }
     }
@@ -1093,28 +861,21 @@ System::runSliceFast(Task &task)
 {
     // Event-horizon batching: compute how many instructions can
     // retire before ANY event (tick due, syscall, budget end,
-    // quantum end) can fire, run them in a tight inner loop, and
-    // handle the boundary instruction with the full legacy checks.
-    // The legacy loop always steps first and checks after, so a
-    // horizon of zero degenerates to exactly its body.
+    // quantum end) can fire, run them in a tight inner loop, then
+    // make the legacy checks. The legacy loop always steps first and
+    // checks after, so a horizon of zero degenerates to exactly its
+    // body: one step, runInner(task, 1), then the checks.
     preempt_ = false;
     Counter quantum = cfg_.quantumInstr;
     while (quantum > 0 && !task.finished() && !preempt_) {
         Counter h = std::min(quantum, task.budget - task.executed);
         h = std::min(h, task.nextSyscallIn - 1);
         h = std::min(h, clockHorizon());
-        if (h == 0) {
-            stepFast(task);
-            --quantum;
-            if (--task.nextSyscallIn == 0)
-                doSyscall(task);
-            if (clock_.due(cycles_))
-                clockTick();
-            continue;
-        }
-        Counter done = runInner(task, h);
+        Counter done = runInner(task, std::max<Counter>(h, 1));
         quantum -= done;
         task.nextSyscallIn -= done;
+        if (task.nextSyscallIn == 0)
+            doSyscall(task);
         if (clock_.due(cycles_))
             clockTick();
     }
@@ -1171,8 +932,6 @@ System::flushObsCounters()
     // no-op for zero tallies).
     static obs::Counter chunked =
         obs::registry().counter("engine.refs.chunked");
-    static obs::Counter filtered =
-        obs::registry().counter("engine.refs.filtered");
     static obs::Counter observed =
         obs::registry().counter("engine.refs.observed");
     static obs::Counter probeHits =
@@ -1188,7 +947,6 @@ System::flushObsCounters()
     static obs::Counter simdScalar =
         obs::registry().counter("engine.simd.scalar_tail");
     chunked.add(obsRefsChunked_);
-    filtered.add(obsRefsFiltered_);
     observed.add(obsRefsObserved_);
     probeHits.add(obsProbeHits_);
     probeSkips.add(obsProbeSkips_);

@@ -179,23 +179,27 @@ class System
     void clockTick();
     void runSlice(Task &task);
 
-    // The hit fast path (see DESIGN.md, "Making simulated hits as
-    // cheap as hardware hits"). Produces bit-identical results to
-    // the per-step legacy path, which is kept verbatim as
-    // runSliceSlow/runBurstSlow/step/dataStep and selected by the
-    // TW_SLOW_PATH environment variable.
     /** Fold the run's observability tallies into the process-wide
      *  obs registry (once, at the end of run()). */
     void flushObsCounters();
 
+    // The hit fast path (see DESIGN.md, "Making simulated hits as
+    // cheap as hardware hits"): two event-horizon loops, the chunked
+    // one for trap-filtered clients and uninstrumented runs and the
+    // observed one for unfiltered clients, both fed by
+    // runSliceFast/runBurstFast. Produces bit-identical results to
+    // the per-step legacy path, which is kept verbatim as
+    // runSliceSlow/runBurstSlow/step/dataStep and selected by the
+    // TW_SLOW_PATH environment variable.
+    /** translate() behind @p tlb (the clock handler's references). */
     Addr translateFast(Task &task, Addr va, MicroTlb &tlb);
     /** Must the client see this reference (trap filter or observe
      *  scope)? */
     bool delivers(const Task &task, Addr pa, AccessKind kind) const;
-    void stepFast(Task &task);
-    void dataStepFast(Task &task);
+    /** Run up to @p h steps of @p task (at least one when h > 0),
+     *  stopping early where charged cycles may have moved the next
+     *  clock tick; returns how many ran. */
     Counter runInner(Task &task, Counter h);
-    Counter runInnerFiltered(Task &task, Counter h);
     Counter runInnerObserved(Task &task, Counter h);
     Counter clockHorizon() const;
     void runSliceFast(Task &task);
@@ -250,7 +254,6 @@ class System
     // the end of run() — the reference hot paths never touch shared
     // state for these.
     Counter obsRefsChunked_ = 0;
-    Counter obsRefsFiltered_ = 0;
     Counter obsRefsObserved_ = 0;
     Counter obsProbeHits_ = 0;
     Counter obsProbeSkips_ = 0;

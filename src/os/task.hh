@@ -184,19 +184,6 @@ class Task
     StreamBuf fetchBuf;
     StreamBuf dataBuf;
 
-    /** Last-page translation caches, one per stream so text and
-     *  data references don't thrash a single entry. */
-    MicroTlb itlb;
-    MicroTlb dtlb;
-
-    /** Drop cached translations (unmap and DMA-recycle paths). */
-    void
-    flushTranslations()
-    {
-        itlb.flush();
-        dtlb.flush();
-    }
-
   private:
     /** Address-space window: text through end of data segment. */
     std::uint64_t

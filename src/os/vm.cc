@@ -98,8 +98,6 @@ Vm::removeTask(Task &task)
             ++stats_.framesFreed;
         }
     }
-    // The task's cached translations die with its mappings.
-    task.flushTranslations();
     task.exited = true;
 }
 

@@ -1,6 +1,9 @@
 #include "sample/config.hh"
 
 #include <cstdlib>
+#include <limits>
+
+#include "base/env.hh"
 
 namespace tw
 {
@@ -15,23 +18,15 @@ envFlag(const char *name)
     return v && *v && *v != '0';
 }
 
+/** A set knob must be a plain decimal that fits @p out ("" and
+ *  "16k" are fatal); an unset one keeps the default. */
+template <typename T>
 void
-envU64(const char *name, std::uint64_t &out)
+envKnob(const char *name, T &out)
 {
-    if (const char *v = std::getenv(name)) {
-        char *end = nullptr;
-        unsigned long long parsed = std::strtoull(v, &end, 10);
-        if (end != v)
-            out = parsed;
-    }
-}
-
-void
-envUns(const char *name, unsigned &out)
-{
-    std::uint64_t v = out;
-    envU64(name, v);
-    out = static_cast<unsigned>(v);
+    if (const char *v = std::getenv(name))
+        out = static_cast<T>(
+            decimalKnob(name, v, std::numeric_limits<T>::max()));
 }
 
 } // anonymous namespace
@@ -43,10 +38,10 @@ sampleConfigFromEnv()
     if (!envFlag("TW_SAMPLE"))
         return cfg;
     cfg.enabled = true;
-    envU64("TW_SAMPLE_INTERVAL", cfg.intervalRefs);
-    envU64("TW_SAMPLE_WARMUP", cfg.warmupRefs);
-    envUns("TW_SAMPLE_CLUSTERS", cfg.clusters);
-    envUns("TW_SAMPLE_PER_CLUSTER", cfg.perCluster);
+    envKnob("TW_SAMPLE_INTERVAL", cfg.intervalRefs);
+    envKnob("TW_SAMPLE_WARMUP", cfg.warmupRefs);
+    envKnob("TW_SAMPLE_CLUSTERS", cfg.clusters);
+    envKnob("TW_SAMPLE_PER_CLUSTER", cfg.perCluster);
     if (cfg.intervalRefs == 0)
         cfg.intervalRefs = 16384;
     if (cfg.clusters == 0)

@@ -1,7 +1,8 @@
 #include "workload/spec.hh"
 
-#include <cstdlib>
+#include <limits>
 
+#include "base/env.hh"
 #include "base/logging.hh"
 #include "base/random.hh"
 
@@ -253,15 +254,11 @@ makeSuite(unsigned scale_div)
 unsigned
 envScaleDiv(unsigned fallback)
 {
-    const char *env = std::getenv("TW_SCALE_DIV");
-    if (!env)
-        return fallback;
-    long v = std::strtol(env, nullptr, 10);
-    if (v <= 0) {
-        warn("ignoring bad TW_SCALE_DIV='%s'", env);
-        return fallback;
-    }
-    return static_cast<unsigned>(v);
+    auto v = static_cast<unsigned>(envUnsigned(
+        "TW_SCALE_DIV", fallback, std::numeric_limits<unsigned>::max()));
+    if (v == 0)
+        fatal("TW_SCALE_DIV: a scale divisor must be at least 1");
+    return v;
 }
 
 } // namespace tw

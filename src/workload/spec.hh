@@ -131,8 +131,8 @@ std::vector<WorkloadSpec> makeSuite(unsigned scale_div = 100);
 
 /**
  * Scale divisor taken from the TW_SCALE_DIV environment variable,
- * or @p fallback when unset — used by every bench so CI can run a
- * quick pass.
+ * or @p fallback when unset or empty — used by every bench so CI can
+ * run a quick pass. Anything but a plain positive decimal is fatal.
  */
 unsigned envScaleDiv(unsigned fallback = 100);
 

@@ -213,14 +213,31 @@ TEST(Experiment, RowJsonExcludesHostTiming)
     EXPECT_EQ(row.find("outcome")->find("hostSeconds"), nullptr);
 }
 
-/** fig2's grid under one environment setting, in a death-test
- *  child (the knob is read when the grid is built). */
+/** An experiment's grid under one environment setting, in a
+ *  death-test child (the knob is read when the grid is built). */
+void
+gridWith(const char *experiment, const char *name, const char *value)
+{
+    ::setenv(name, value, 1);
+    ExperimentRegistry::instance().find(experiment)->grid(2000);
+    std::exit(0);
+}
+
 void
 fig2GridWith(const char *name, const char *value)
 {
-    ::setenv(name, value, 1);
-    ExperimentRegistry::instance().find("fig2")->grid(2000);
-    std::exit(0);
+    gridWith("fig2", name, value);
+}
+
+TEST(ExperimentEnvDeath, CiTargetRejectsMalformed)
+{
+    // "0.1x" must not pass as 0.1, nor "x" as off.
+    EXPECT_EXIT(gridWith("table7", "TW_CI_TARGET", "0.1x"),
+                ::testing::ExitedWithCode(1), "TW_CI_TARGET: '0.1x'");
+    EXPECT_EXIT(gridWith("table7", "TW_CI_TARGET", "x"),
+                ::testing::ExitedWithCode(1), "TW_CI_TARGET: 'x'");
+    EXPECT_EXIT(gridWith("table7", "TW_CI_TARGET", "0.10"),
+                ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Fig2EnvDeath, OnlyKbRejectsTrailingJunk)

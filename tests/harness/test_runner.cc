@@ -1,5 +1,8 @@
 /** @file Tests of the experiment runner and slowdown computation. */
 
+#include <cstdlib>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "harness/runner.hh"
@@ -148,6 +151,22 @@ TEST(Runner, BaselineCapacityHonored)
     EXPECT_EQ(st.evictions - before, 2u);
     Runner::setBaselineCacheCapacity(4096);
     Runner::clearBaselineCache();
+}
+
+TEST(RunnerDeath, BaselineCapRejectsMalformed)
+{
+    // "64k" must not pass as 64. The cap is read once, when the
+    // baseline cache is first touched: re-run the test in a fresh
+    // process so the child builds the cache itself.
+    std::string style = ::testing::FLAGS_gtest_death_test_style;
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            ::setenv("TW_BASELINE_CAP", "64k", 1);
+            Runner::baselineCacheStats();
+        },
+        ::testing::ExitedWithCode(1), "TW_BASELINE_CAP: '64k'");
+    ::testing::FLAGS_gtest_death_test_style = style;
 }
 
 TEST(Trials, RunsRequestedCount)

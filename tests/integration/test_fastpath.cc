@@ -182,6 +182,58 @@ TEST(FastPath, BitIdenticalDataCacheNoAllocateOnWrite)
     expectCachePathsAgree(spec, 11);
 }
 
+TEST(FastPath, BitIdenticalDataCacheMatrix)
+{
+    // Data traps delivered mid-chunk: the chunked loop rewinds to the
+    // trap's owning step and finishes that step's remaining data refs
+    // in exact order, each of which may fault or trap again. Rates
+    // above 1000 per mille give steps more than one data ref, and
+    // storeEvery shifts which of them are stores.
+    for (SimCacheKind kind : {SimCacheKind::Data, SimCacheKind::Unified})
+    for (HostWritePolicy write : {HostWritePolicy::AllocateOnWrite,
+                                  HostWritePolicy::NoAllocateOnWrite})
+    for (double per1k : {350.0, 1500.0, 2600.0})
+    for (unsigned store_every : {1u, 2u, 3u})
+    for (std::uint64_t kb : {1u, 4u, 64u})
+    for (std::uint64_t seed : {41u, 42u}) {
+        SCOPED_TRACE(testing::Message()
+                     << simCacheKindName(kind) << " noalloc="
+                     << (write == HostWritePolicy::NoAllocateOnWrite)
+                     << " per1k=" << per1k << " storeEvery="
+                     << store_every << " " << kb << "KB seed=" << seed);
+        RunSpec spec = baseSpec("mpeg_play", 16000);
+        spec.sys.scope = SimScope::all();
+        spec.workload.dataRefsPer1k = per1k;
+        spec.workload.storeEvery = store_every;
+        spec.tw.kind = kind;
+        spec.tw.hostWrite = write;
+        spec.tw.cache = CacheConfig::icache(kb * 1024);
+        expectCachePathsAgree(spec, seed);
+    }
+}
+
+TEST(FastPath, UnifiedCacheRunsChunkedLoop)
+{
+    // A trap filter that delivers data refs keeps its task on the
+    // chunked loop: every ref of a unified Tapeworm run is counted
+    // there, none in the observed loop.
+    static obs::Counter observed =
+        obs::registry().counter("engine.refs.observed");
+    static obs::Counter chunked =
+        obs::registry().counter("engine.refs.chunked");
+    RunSpec spec = baseSpec();
+    spec.sys.scope = SimScope::all();
+    spec.tw.kind = SimCacheKind::Unified;
+    Counter observed0 = observed.value(), chunked0 = chunked.value();
+    CacheRun run = runCache(spec, 7, false);
+    // Only the clock handler's fetches bypass runInner.
+    Counter handler = run.run.ticks * spec.sys.tickHandlerInstr;
+    EXPECT_GT(run.run.dataRefs, 0u);
+    EXPECT_EQ(observed.value(), observed0);
+    EXPECT_EQ(chunked.value() - chunked0,
+              run.run.totalInstr() - handler + run.run.dataRefs);
+}
+
 TEST(FastPath, BitIdenticalUninstrumented)
 {
     // No client at all: pure stream batching, micro-TLB and
@@ -515,13 +567,10 @@ TEST(FastPath, ObserveScopeMovesOtherTasksToChunkedLoop)
     EXPECT_LE(scoped.observed, target_refs);
     EXPECT_GT(scoped.observed, target_refs / 2);
 
-    // The rest moved to the chunked loop. The two runs count the
-    // same refs except where a page fault ends a chunked call near
-    // a tick and leaves one step (a fetch and at most one data ref)
-    // to the uncounted per-step path.
-    Counter slack = 2 * scoped.run.faults;
-    EXPECT_LE(scoped.observed + scoped.chunked, all.observed + slack);
-    EXPECT_GE(scoped.observed + scoped.chunked + slack, all.observed);
+    // The rest moved to the chunked loop. Every ref but the clock
+    // handler's runs through one of the two loops — boundary steps
+    // included — so the two runs count exactly the same refs.
+    EXPECT_EQ(scoped.observed + scoped.chunked, all.observed);
 }
 
 struct TlbRun
@@ -707,13 +756,13 @@ tenConfigs()
         configs.push_back({"icache-user-only", s, 103});
     }
     {
-        // 4: data cache (filtered loop, dprobe spans).
+        // 4: data cache (chunked loop, data-page probes).
         RunSpec s = baseSpec();
         s.tw.kind = SimCacheKind::Data;
         configs.push_back({"dcache", s, 104});
     }
     {
-        // 5: unified cache (filtered loop, fetch+data probes).
+        // 5: unified cache (chunked loop, fetch+data probes).
         RunSpec s = baseSpec();
         s.tw.kind = SimCacheKind::Unified;
         configs.push_back({"unified", s, 105});

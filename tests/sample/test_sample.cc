@@ -7,6 +7,8 @@
  * run's miss count bit-for-bit on an eligible spec.
  */
 
+#include <cstdlib>
+
 #include <gtest/gtest.h>
 
 #include "harness/runner.hh"
@@ -377,6 +379,74 @@ TEST(Config, EnvRoundTripAndDefaults)
     EXPECT_TRUE(def == other);
     other.enabled = true;
     EXPECT_FALSE(def == other);
+}
+
+/** Sets a sampling knob for the rest of a test, then clears every
+ *  sampling knob. */
+class ScopedSampleEnv
+{
+  public:
+    ScopedSampleEnv(const char *name, const char *value)
+    {
+        ::setenv("TW_SAMPLE", "1", 1);
+        ::setenv(name, value, 1);
+    }
+
+    ~ScopedSampleEnv()
+    {
+        for (const char *k :
+             {"TW_SAMPLE", "TW_SAMPLE_INTERVAL", "TW_SAMPLE_WARMUP",
+              "TW_SAMPLE_CLUSTERS", "TW_SAMPLE_PER_CLUSTER"})
+            ::unsetenv(k);
+    }
+};
+
+TEST(Config, EnvValidValuesKeepTheirMeaning)
+{
+    {
+        ScopedSampleEnv env("TW_SAMPLE_INTERVAL", "1024");
+        EXPECT_EQ(sampleConfigFromEnv().intervalRefs, 1024u);
+    }
+    {
+        // 0 still means the default.
+        ScopedSampleEnv env("TW_SAMPLE_INTERVAL", "0");
+        EXPECT_EQ(sampleConfigFromEnv().intervalRefs, 16384u);
+    }
+    {
+        ScopedSampleEnv env("TW_SAMPLE_CLUSTERS", "4294967295");
+        EXPECT_EQ(sampleConfigFromEnv().clusters, 4294967295u);
+    }
+}
+
+/** sampleConfigFromEnv() under one knob value, in a death-test
+ *  child. */
+void
+sampleConfigWith(const char *name, const char *value)
+{
+    ScopedSampleEnv env(name, value);
+    sampleConfigFromEnv();
+    std::exit(0);
+}
+
+TEST(ConfigDeath, EnvRejectsMalformedKnobs)
+{
+    // A numeric prefix must not pass: "16k" read as 16 means about
+    // 1000x the work. Nor may "garbage" or "" quietly mean the
+    // default.
+    EXPECT_EXIT(sampleConfigWith("TW_SAMPLE_INTERVAL", "16k"),
+                ::testing::ExitedWithCode(1),
+                "TW_SAMPLE_INTERVAL: '16k'");
+    EXPECT_EXIT(sampleConfigWith("TW_SAMPLE_INTERVAL", "garbage"),
+                ::testing::ExitedWithCode(1),
+                "TW_SAMPLE_INTERVAL: 'garbage'");
+    EXPECT_EXIT(sampleConfigWith("TW_SAMPLE_WARMUP", ""),
+                ::testing::ExitedWithCode(1), "TW_SAMPLE_WARMUP: ''");
+    // One past an unsigned knob's range must not wrap to 0.
+    EXPECT_EXIT(sampleConfigWith("TW_SAMPLE_CLUSTERS", "4294967296"),
+                ::testing::ExitedWithCode(1),
+                "TW_SAMPLE_CLUSTERS: '4294967296'");
+    EXPECT_EXIT(sampleConfigWith("TW_SAMPLE_PER_CLUSTER", "-1"),
+                ::testing::ExitedWithCode(1), "TW_SAMPLE_PER_CLUSTER");
 }
 
 } // namespace

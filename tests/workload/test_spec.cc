@@ -143,9 +143,23 @@ TEST(Spec, EnvScaleDiv)
     EXPECT_EQ(envScaleDiv(123), 123u);
     setenv("TW_SCALE_DIV", "50", 1);
     EXPECT_EQ(envScaleDiv(123), 50u);
-    setenv("TW_SCALE_DIV", "garbage", 1);
+    setenv("TW_SCALE_DIV", "", 1);
     EXPECT_EQ(envScaleDiv(123), 123u);
     unsetenv("TW_SCALE_DIV");
+}
+
+TEST(SpecDeath, EnvScaleDivRejectsMalformed)
+{
+    // A bad divisor must not warn and run at the default scale.
+    for (const char *bad : {"garbage", "zz", "50x", "-3", "0"}) {
+        EXPECT_EXIT(
+            {
+                setenv("TW_SCALE_DIV", bad, 1);
+                envScaleDiv(123);
+            },
+            ::testing::ExitedWithCode(1), "TW_SCALE_DIV")
+            << bad;
+    }
 }
 
 TEST(Spec, ComponentNames)
