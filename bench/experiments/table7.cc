@@ -7,6 +7,7 @@
  * interrupt phase all redraw per trial.
  */
 
+#include "base/simd.hh"
 #include "util.hh"
 
 using namespace twbench;
@@ -63,12 +64,18 @@ make()
     def.present = [](ExperimentContext &ctx) {
         double total_misses = 0.0;
         unsigned total_trials = 0;
+        double t7_refs = 0.0, t7_secs = 0.0;
         TextTable t({"workload", "mean(10^6)", "s", "min", "max",
                      "range", "paper.s%", "paper.range%"});
         for (const auto &paper : kPaper) {
             const auto &outcomes = ctx.outcomes(paper.name);
             total_misses += totalEstMisses(outcomes);
             total_trials += outcomes.size();
+            for (const RunOutcome &o : outcomes) {
+                t7_refs += static_cast<double>(o.run.totalInstr()
+                                               + o.run.dataRefs);
+                t7_secs += o.hostSeconds;
+            }
             Summary s = missSummary(outcomes);
             double to_m = static_cast<double>(ctx.scale()) / 1e6;
 
@@ -87,6 +94,17 @@ make()
         ctx.print("Shape targets: double-digit relative deviations; "
                   "small-footprint SPEC workloads (eqntott, espresso, "
                   "xlisp) show the largest relative spread.\n");
+        if (ctx.reportRequested()) {
+            // The chunked loop on a trapped-page-heavy filter: 1/8
+            // set sampling on a small physical cache, all activity.
+            double rate = t7_secs > 0.0 ? t7_refs / t7_secs : 0.0;
+            ctx.print("[report] tapeworm host rate: %.3fM refs/s "
+                      "(%.0f refs in %.3fs host)\n", rate / 1.0e6,
+                      t7_refs, t7_secs);
+            ctx.metric("t7_refs_per_sec", rate);
+            ctx.metric("t7_host_seconds", t7_secs);
+            ctx.note("simd", simd::levelName(simd::activeLevel()));
+        }
         ctx.metric("trials", total_trials);
         ctx.metric("total_est_misses", total_misses);
     };

@@ -1,6 +1,8 @@
 #include "harness/runner.hh"
 
+#include <array>
 #include <chrono>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -109,44 +111,102 @@ Runner::baselineKey(const RunSpec &spec, std::uint64_t trial_seed)
         static_cast<unsigned long long>(trial_seed));
 }
 
-bool
+namespace
+{
+
+/** Per fallback reason, SampleFallback::Kind first: its name (the
+ *  counter suffix) and why such a spec runs in full (the stderr
+ *  notice). */
+struct FallbackText
+{
+    const char *name;
+    const char *why;
+};
+
+constexpr FallbackText kFallbackText[] = {
+    {"kind", "the simulated cache is not an instruction cache"},
+    {"dram", "the dram cost backend prices misses by time"},
+    {"geometry", "the cache is not direct-mapped and virtually indexed"},
+    {"scope", "the scope is not user-only"},
+    {"tasks", "the workload has more than one user task or binary"},
+    {"dma", "DMA buffer flushes are on (grids: set TW_NO_DMA=1)"},
+    {"short", "the budget is under four sample intervals"},
+};
+
+constexpr unsigned kNumFallbacks = std::size(kFallbackText);
+static_assert(kNumFallbacks
+              == static_cast<unsigned>(SampleFallback::Short)
+                     - static_cast<unsigned>(SampleFallback::Kind) + 1);
+
+} // anonymous namespace
+
+SampleFallback
 Runner::sampleEligible(const RunSpec &spec)
 {
     if (!spec.sample.enabled || spec.sim != SimKind::Tapeworm)
-        return false;
+        return SampleFallback::Disabled;
     const TapewormConfig &tw = spec.tw;
     if (tw.kind != SimCacheKind::Instruction)
-        return false;
+        return SampleFallback::Kind;
     // Time-dependent cost backends (dram) price a miss by WHEN it
     // happens; interval replay reconstructs residency, not time, so
-    // such specs run in full (counted in engine.sample.fallbacks).
+    // such specs run in full.
     if (tw.costBackend.kind == CostBackendKind::Dram)
-        return false;
+        return SampleFallback::Dram;
     // Exact boundary reconstruction holds only for direct-mapped
     // virtually-indexed caches (the resident line of a set is the
     // most recently referenced line mapping to it).
     if (tw.cache.assoc != 1 || tw.cache.indexing != Indexing::Virtual)
-        return false;
+        return SampleFallback::Geometry;
     // The estimator replays one user stream: the full run must trace
     // exactly that stream and nothing else.
     const SimScope &scope = spec.sys.scope;
     if (!scope.user || scope.servers || scope.kernel)
-        return false;
+        return SampleFallback::Scope;
     if (spec.workload.taskCount != 1
         || spec.workload.concurrency != 1
         || spec.workload.binaries.size() != 1)
-        return false;
+        return SampleFallback::Tasks;
     // DMA buffer recycling flushes lines at times the stream replay
     // cannot see; such specs run in full.
     if (spec.sys.dmaFlushPeriod != 0)
-        return false;
+        return SampleFallback::Dma;
     // Below four intervals sampling cannot pay for itself.
-    return spec.workload.userInstr()
-           >= 4 * static_cast<Counter>(spec.sample.intervalRefs);
+    if (spec.workload.userInstr()
+        < 4 * static_cast<Counter>(spec.sample.intervalRefs))
+        return SampleFallback::Short;
+    return SampleFallback::None;
 }
 
 namespace
 {
+
+/** Count a sampled spec that runs in full, by reason, and say why
+ *  on stderr the first time each reason occurs in this process. */
+void
+noteSampleFallback(SampleFallback reason)
+{
+    static obs::Counter total =
+        obs::registry().counter("engine.sample.fallbacks");
+    static std::array<obs::Counter, kNumFallbacks> byReason = [] {
+        std::array<obs::Counter, kNumFallbacks> c;
+        for (unsigned r = 0; r < kNumFallbacks; ++r) {
+            c[r] = obs::registry().counter(
+                std::string("engine.sample.fallbacks.")
+                + kFallbackText[r].name);
+        }
+        return c;
+    }();
+    static std::array<std::once_flag, kNumFallbacks> noticed;
+    const unsigned r = static_cast<unsigned>(reason)
+                       - static_cast<unsigned>(SampleFallback::Kind);
+    total.inc();
+    byReason[r].inc();
+    std::call_once(noticed[r], [&] {
+        warn("sampling falls back to a full run (%s): %s",
+             kFallbackText[r].name, kFallbackText[r].why);
+    });
+}
 
 /** The sampled Tapeworm estimate, in place of a machine run. */
 void
@@ -212,8 +272,9 @@ Runner::runOne(const RunSpec &spec, std::uint64_t trial_seed)
     ArenaScope arenaScope;
     const std::size_t reserved0 = arenaScope.arena().reservedBytes();
 
-    if (spec.sample.enabled && spec.sim == SimKind::Tapeworm) {
-        if (sampleEligible(spec)) {
+    const SampleFallback fallback = sampleEligible(spec);
+    if (fallback != SampleFallback::Disabled) {
+        if (fallback == SampleFallback::None) {
             RunOutcome out;
             double t0 = hostNow();
             TapewormConfig cfg = spec.tw;
@@ -223,9 +284,7 @@ Runner::runOne(const RunSpec &spec, std::uint64_t trial_seed)
             out.hostSeconds = hostNow() - t0;
             return out;
         }
-        static obs::Counter obsSampleFallbacks =
-            obs::registry().counter("engine.sample.fallbacks");
-        obsSampleFallbacks.inc();
+        noteSampleFallback(fallback);
     }
 
     SystemConfig sys = spec.sys;

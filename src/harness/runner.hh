@@ -37,6 +37,24 @@ namespace tw
 enum class SimKind { None, Tapeworm, TapewormTlbSim, TraceDriven,
                      Oracle };
 
+/**
+ * Why a spec with sampling enabled runs in full instead (None: it is
+ * sampled). Each reason is one clause of the interval estimator's
+ * exactness contract (see Runner::sampleEligible).
+ */
+enum class SampleFallback
+{
+    None,     //!< eligible: the run is sampled
+    Disabled, //!< sampling off or not a Tapeworm run (not counted)
+    Kind,     //!< not an instruction cache
+    Dram,     //!< time-dependent cost backend
+    Geometry, //!< not direct-mapped and virtually indexed
+    Scope,    //!< scope is not user-only
+    Tasks,    //!< more than one user task or binary
+    Dma,      //!< DMA buffer flushes on
+    Short,    //!< budget under four intervals
+};
+
 /** Full description of an experimental run (minus the trial seed). */
 struct RunSpec
 {
@@ -168,10 +186,13 @@ class Runner
      * contract of the interval estimator: a direct-mapped
      * virtually-indexed instruction cache simulated over a single
      * user task with user-only scope, no DMA flushes, and a budget
-     * of at least four intervals. Anything else falls back to a
-     * full run (counted in engine.sample.fallbacks).
+     * of at least four intervals. Returns SampleFallback::None if
+     * so, else the first clause that fails. Such a spec falls back
+     * to a full run, counted in engine.sample.fallbacks and
+     * engine.sample.fallbacks.<reason>, with one stderr notice per
+     * reason per process.
      */
-    static bool sampleEligible(const RunSpec &spec);
+    static SampleFallback sampleEligible(const RunSpec &spec);
 
     /** Execute the instrumented run plus (memoized) uninstrumented
      *  baseline; fills slowdown and normalCycles. */

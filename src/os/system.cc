@@ -394,15 +394,26 @@ System::runInner(Task &task, Counter h)
         }
         const Addr *const fp0 = fp;
         const Counter credit0 = credit;
+        // A chunk is bounded by the buffer and the horizon; a pending
+        // fetch-fault charge limits it to its own step.
+        Counter m = static_cast<Counter>(fend - fp);
+        if (m > left)
+            m = left;
+        if (stop_after) [[unlikely]]
+            m = 1;
+        const Addr *const qe = fp + m;
         Counter n;
         if (fprobe) [[unlikely]] {
-            // Trap bits on this page: single exact step.
-            ++fp;
-            n = 1;
-            ++probed;
+            // Trap bits on this page: a fetch whose bit is set is a
+            // single exact step. A clear one has no observable side
+            // effect, so it and the run of clear-bit fetches after it
+            // on this page go as one scan, which stops BEFORE the
+            // next set bit; that fetch starts the next chunk.
             Addr pa = ipaBase + (va & off);
             std::uint64_t g = pa >> fshift;
             if ((fetch_bits[g >> 6] >> (g & 63)) & 1) [[unlikely]] {
+                ++fp;
+                n = 1;
                 Cycles r = cl->onRef(task, va, pa, masked,
                                      AccessKind::Fetch);
                 cycles_ += r;
@@ -411,7 +422,12 @@ System::runInner(Task &task, Counter h)
                 // The handler may have moved traps anywhere.
                 ivaPage = kInvalidAddr;
                 dvaPage = kInvalidAddr;
+            } else {
+                n = 1 + simd::clearSpan(fp + 1, qe, ~off, page, ipaBase,
+                                        fetch_bits, fshift);
+                fp += n;
             }
+            probed += n;
         } else {
             // Probe-free page: consume the same-page span with one
             // wide scan, bounded by the buffer and the horizon —
@@ -424,14 +440,7 @@ System::runInner(Task &task, Counter h)
             // exact legacy order, which the top of the loop
             // provides. (A data event mid-drain still rewinds to its
             // owning step and invalidates the page cache, so merged
-            // spans undo just like single-page ones.) A pending
-            // fetch-fault charge limits the chunk to its own step.
-            Counter m = static_cast<Counter>(fend - fp);
-            if (m > left)
-                m = left;
-            if (stop_after) [[unlikely]]
-                m = 1;
-            const Addr *const qe = fp + m;
+            // spans undo just like single-page ones.)
             const Addr *q = fp + 1;
             ++span_ops;
             q += simd::samePageSpan(q, qe, ~off, page);
@@ -543,7 +552,10 @@ System::runInner(Task &task, Counter h)
             data_refs += drained;
             if (s != 0) {
                 // Rewind the fetch pointer to s and re-enter with
-                // fresh probe state.
+                // fresh probe state; a clear run's fetches past s
+                // were not probed yet.
+                if (fprobe)
+                    probed -= n - s;
                 fp = fp0 + s;
                 credit = credit0 + s * dpm - pending * 1000;
                 n = s;

@@ -1,9 +1,10 @@
 /**
  * @file
  * The wide-scan contract: every SIMD implementation of the two
- * trap-filter primitives computes the EXACT scalar answer on every
- * range — including the unaligned heads, masked tails and
- * block-boundary straddles that make vector code subtly wrong.
+ * dispatched trap-filter primitives computes the EXACT scalar answer
+ * on every range — including the unaligned heads, masked tails and
+ * block-boundary straddles that make vector code subtly wrong. The
+ * scalar-only clearSpan() is checked against a naive loop.
  *
  * The granule-bitmap property test mirrors how the engine actually
  * uses anyBitsInWords(): a PhysMem's trap bits probed over page
@@ -59,6 +60,20 @@ naiveSpan(const Addr *p, const Addr *end, Addr page_mask, Addr page)
     std::size_t n = 0;
     while (p + n != end && ((p[n] & page_mask) == page))
         ++n;
+    return n;
+}
+
+std::size_t
+naiveClearSpan(const Addr *p, const Addr *end, Addr page_mask,
+               Addr page, Addr pa_base,
+               const std::vector<std::uint64_t> &bits, unsigned shift)
+{
+    std::size_t n = 0;
+    for (; p + n != end && (p[n] & page_mask) == page; ++n) {
+        std::uint64_t g = (pa_base + (p[n] & ~page_mask)) >> shift;
+        if ((bits.at(g >> 6) >> (g & 63)) & 1)
+            break;
+    }
     return n;
 }
 
@@ -179,6 +194,96 @@ TEST(Simd, SamePageSpanMatchesScalarOnRandomBuffers)
                                          ~Addr{4095}, page),
                       naive);
         }
+    }
+}
+
+TEST(Simd, ClearSpanExactAtEveryStopPosition)
+{
+    // Buffers of 0..23 refs, one stop planted at every position: an
+    // off-page ref, or a set granule bit. Granule shifts 4..12 span
+    // 16-byte lines up to one granule per page, so from shift 7 on
+    // one bitmap word covers more than a page.
+    constexpr Addr kPageMask = ~Addr{kHostPageBytes - 1};
+    constexpr Addr kPage = 0x5a000;
+    constexpr unsigned kFrames = 64;
+    const Addr pa_base = 37 * Addr{kHostPageBytes};
+    Rng rng(0xc1ea7u);
+    for (unsigned shift = 4; shift <= 12; ++shift) {
+        const std::size_t granules =
+            (kFrames * std::size_t{kHostPageBytes}) >> shift;
+        for (std::size_t len = 0; len <= 23; ++len) {
+            for (std::size_t stop = 0; stop <= len; ++stop) {
+                for (bool off_page : {true, false}) {
+                    std::vector<std::uint64_t> bits((granules + 63) / 64,
+                                                    0);
+                    std::vector<Addr> buf(len);
+                    for (auto &a : buf)
+                        a = kPage + rng.below(kHostPageBytes);
+                    if (stop < len) {
+                        if (off_page) {
+                            buf[stop] +=
+                                kHostPageBytes * (1 + rng.below(3));
+                        } else {
+                            std::uint64_t g =
+                                (pa_base + (buf[stop] & ~kPageMask))
+                                >> shift;
+                            bits[g >> 6] |= std::uint64_t{1} << (g & 63);
+                        }
+                    }
+                    std::size_t want = naiveClearSpan(
+                        buf.data(), buf.data() + len, kPageMask, kPage,
+                        pa_base, bits, shift);
+                    // Earlier refs may share the planted granule.
+                    ASSERT_LE(want, stop);
+                    if (off_page) {
+                        ASSERT_EQ(want, stop);
+                    }
+                    EXPECT_EQ(simd::clearSpan(buf.data(),
+                                              buf.data() + len, kPageMask,
+                                              kPage, pa_base, bits.data(),
+                                              shift),
+                              want)
+                        << "shift " << shift << " len " << len << " stop "
+                        << stop << (off_page ? " off-page" : " set");
+                }
+            }
+        }
+    }
+}
+
+TEST(Simd, ClearSpanMatchesNaiveOnRandomBuffers)
+{
+    // Random pages, frames, shifts, lengths and bitmap densities.
+    constexpr Addr kPageMask = ~Addr{kHostPageBytes - 1};
+    constexpr unsigned kFrames = 64;
+    Rng rng(0x7a9e5u);
+    for (int iter = 0; iter < 3000; ++iter) {
+        unsigned shift = 4 + static_cast<unsigned>(rng.below(9));
+        std::size_t words =
+            ((kFrames * std::size_t{kHostPageBytes} >> shift) + 63) / 64;
+        std::vector<std::uint64_t> bits(words);
+        unsigned density = 1 + static_cast<unsigned>(rng.below(64));
+        for (auto &w : bits) {
+            for (unsigned b = 0; b < 64; ++b) {
+                if (rng.below(256) < density)
+                    w |= std::uint64_t{1} << b;
+            }
+        }
+        Addr page = (rng.next() & 0xfffff) * kHostPageBytes;
+        Addr pa_base = rng.below(kFrames) * Addr{kHostPageBytes};
+        std::vector<Addr> buf(rng.below(70));
+        for (auto &a : buf) {
+            Addr p = rng.below(16) == 0
+                         ? page + kHostPageBytes * (1 + rng.below(4))
+                         : page;
+            a = p + rng.below(kHostPageBytes);
+        }
+        const Addr *b = buf.data(), *e = buf.data() + buf.size();
+        EXPECT_EQ(simd::clearSpan(b, e, kPageMask, page, pa_base,
+                                  bits.data(), shift),
+                  naiveClearSpan(b, e, kPageMask, page, pa_base, bits,
+                                 shift))
+            << "iter " << iter;
     }
 }
 

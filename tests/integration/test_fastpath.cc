@@ -212,6 +212,36 @@ TEST(FastPath, BitIdenticalDataCacheMatrix)
     }
 }
 
+TEST(FastPath, BitIdenticalClearRunsOnTrappedPages)
+{
+    // A fetch page with trap bits is consumed in runs of clear-bit
+    // fetches, each run stopping before the first set bit. Set
+    // sampling leaves most granules of a trapped page clear, so runs
+    // get long; physical indexing and small caches put trap bits on
+    // most pages; all-activity scope, DMA flushes and a short tick
+    // interval put first-touch fault charges, handler fetches and
+    // flushes next to those runs. A run that crosses a fault charge
+    // or swallows the trapped fetch shows up as a different run.
+    for (unsigned denom : {8u, 2u, 1u})
+    for (Indexing indexing : {Indexing::Physical, Indexing::Virtual})
+    for (std::uint64_t kb : {1u, 4u, 16u})
+    for (std::uint64_t seed : {3u, 19u}) {
+        SCOPED_TRACE(testing::Message()
+                     << "1/" << denom << " "
+                     << (indexing == Indexing::Physical ? "phys"
+                                                        : "virt")
+                     << " " << kb << "KB seed=" << seed);
+        RunSpec spec = baseSpec("sdet", 8000);
+        spec.sys.scope = SimScope::all();
+        spec.sys.dmaFlushPeriod = 4;
+        spec.sys.clockInterval = kClockHz / 16384;
+        spec.tw.cache = CacheConfig::icache(kb * 1024, 16, 1, indexing);
+        spec.tw.sampleNum = 1;
+        spec.tw.sampleDenom = denom;
+        expectCachePathsAgree(spec, seed);
+    }
+}
+
 TEST(FastPath, UnifiedCacheRunsChunkedLoop)
 {
     // A trap filter that delivers data refs keeps its task on the

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/runner.hh"
+#include "obs/metrics.hh"
 #include "sample/features.hh"
 #include "sample/interval_sim.hh"
 #include "sample/kmeans.hh"
@@ -311,10 +312,11 @@ TEST(IntervalSim, CiRelFloorApplies)
 TEST(Runner, SampledRunPopulatesOutcome)
 {
     RunSpec spec = eligibleSpec(400);
-    ASSERT_FALSE(Runner::sampleEligible(spec)); // not enabled yet
+    ASSERT_EQ(Runner::sampleEligible(spec),
+              SampleFallback::Disabled); // not enabled yet
     spec.sample.enabled = true;
     spec.sample.intervalRefs = 4096;
-    ASSERT_TRUE(Runner::sampleEligible(spec));
+    ASSERT_EQ(Runner::sampleEligible(spec), SampleFallback::None);
 
     RunOutcome out = Runner::runOne(spec, 7);
     EXPECT_TRUE(out.sample.used);
@@ -349,7 +351,7 @@ TEST(Runner, SampleFallsBackWhenIneligible)
     RunSpec spec = eligibleSpec(2000);
     spec.sample.enabled = true;
     spec.sys.dmaFlushPeriod = 32;
-    EXPECT_FALSE(Runner::sampleEligible(spec));
+    EXPECT_EQ(Runner::sampleEligible(spec), SampleFallback::Dma);
     RunOutcome out = Runner::runOne(spec, 7);
     EXPECT_FALSE(out.sample.used);
     EXPECT_GT(out.run.cycles, 0u); // the machine actually ran
@@ -359,13 +361,123 @@ TEST(Runner, SampleFallsBackWhenIneligible)
     assoc.sample.enabled = true;
     assoc.tw.cache = CacheConfig::icache(4096, 16, 2,
                                          Indexing::Virtual);
-    EXPECT_FALSE(Runner::sampleEligible(assoc));
+    EXPECT_EQ(Runner::sampleEligible(assoc), SampleFallback::Geometry);
 
     // Full-system scope traces more than the user stream.
     RunSpec scoped = eligibleSpec(2000);
     scoped.sample.enabled = true;
     scoped.sys.scope = SimScope::all();
-    EXPECT_FALSE(Runner::sampleEligible(scoped));
+    EXPECT_EQ(Runner::sampleEligible(scoped), SampleFallback::Scope);
+}
+
+/**
+ * Run @p spec, which must fall back for @p reason, and check the
+ * fallback's bookkeeping: a full run, the total and per-reason
+ * counters each bumped once per run, and at most one stderr notice
+ * naming the reason per process (the first run may print it unless
+ * an earlier test already did; later runs never do).
+ */
+void
+expectFallback(const RunSpec &spec, SampleFallback reason,
+               const std::string &name)
+{
+    ASSERT_EQ(Runner::sampleEligible(spec), reason);
+    obs::Counter total = obs::registry().counter("engine.sample.fallbacks");
+    obs::Counter mine =
+        obs::registry().counter("engine.sample.fallbacks." + name);
+    const std::string notice = "full run (" + name + "):";
+    auto notices = [&](const std::string &err) {
+        unsigned n = 0;
+        for (std::size_t at = err.find(notice); at != std::string::npos;
+             at = err.find(notice, at + 1))
+            ++n;
+        return n;
+    };
+    std::uint64_t total0 = total.value(), mine0 = mine.value();
+    testing::internal::CaptureStderr();
+    RunOutcome out = Runner::runOne(spec, 7);
+    EXPECT_LE(notices(testing::internal::GetCapturedStderr()), 1u);
+    EXPECT_FALSE(out.sample.used);
+    EXPECT_GT(out.run.cycles, 0u); // the machine actually ran
+    testing::internal::CaptureStderr();
+    Runner::runOne(spec, 8);
+    EXPECT_EQ(notices(testing::internal::GetCapturedStderr()), 0u);
+    EXPECT_EQ(total.value() - total0, 2u);
+    EXPECT_EQ(mine.value() - mine0, 2u);
+    // Only real reasons have counters.
+    for (const obs::CounterValue &c : obs::registry().counterValues()) {
+        EXPECT_NE(c.name, "engine.sample.fallbacks.none");
+        EXPECT_NE(c.name, "engine.sample.fallbacks.disabled");
+    }
+}
+
+RunSpec
+sampledSpec()
+{
+    RunSpec spec = eligibleSpec(4000);
+    spec.sample.enabled = true;
+    spec.sample.intervalRefs = 4096;
+    return spec;
+}
+
+TEST(SampleFallbackReason, NotSampledIsNotAFallback)
+{
+    RunSpec spec = sampledSpec();
+    EXPECT_EQ(Runner::sampleEligible(spec), SampleFallback::None);
+    spec.sim = SimKind::None;
+    EXPECT_EQ(Runner::sampleEligible(spec), SampleFallback::Disabled);
+    spec = sampledSpec();
+    spec.sample.enabled = false;
+    EXPECT_EQ(Runner::sampleEligible(spec), SampleFallback::Disabled);
+}
+
+TEST(SampleFallbackReason, Kind)
+{
+    RunSpec spec = sampledSpec();
+    spec.tw.kind = SimCacheKind::Unified;
+    expectFallback(spec, SampleFallback::Kind, "kind");
+}
+
+TEST(SampleFallbackReason, Dram)
+{
+    RunSpec spec = sampledSpec();
+    spec.tw.costBackend.kind = CostBackendKind::Dram;
+    expectFallback(spec, SampleFallback::Dram, "dram");
+}
+
+TEST(SampleFallbackReason, Geometry)
+{
+    RunSpec spec = sampledSpec();
+    spec.tw.cache.indexing = Indexing::Physical;
+    expectFallback(spec, SampleFallback::Geometry, "geometry");
+}
+
+TEST(SampleFallbackReason, Scope)
+{
+    RunSpec spec = sampledSpec();
+    spec.sys.scope = SimScope::all();
+    expectFallback(spec, SampleFallback::Scope, "scope");
+}
+
+TEST(SampleFallbackReason, Tasks)
+{
+    RunSpec spec = sampledSpec();
+    spec.workload = makeWorkload("sdet", 4000);
+    expectFallback(spec, SampleFallback::Tasks, "tasks");
+}
+
+TEST(SampleFallbackReason, Dma)
+{
+    RunSpec spec = sampledSpec();
+    spec.sys.dmaFlushPeriod = 32;
+    expectFallback(spec, SampleFallback::Dma, "dma");
+}
+
+TEST(SampleFallbackReason, Short)
+{
+    RunSpec spec = sampledSpec();
+    spec.sample.intervalRefs = spec.workload.userInstr() / 4 + 1;
+    expectFallback(spec, SampleFallback::Short, "short");
 }
 
 TEST(Config, EnvRoundTripAndDefaults)
