@@ -15,11 +15,12 @@
  *   twsim --list
  */
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "base/env.hh"
+#include "harness/cli_spec.hh"
 #include "harness/experiment.hh"
 #include "obs/trace.hh"
 #include "tapeworm.hh"
@@ -73,39 +74,14 @@ usage()
         "  --help            this text\n");
 }
 
-std::uint64_t
-parseSize(const std::string &text)
-{
-    char *end = nullptr;
-    double v = std::strtod(text.c_str(), &end);
-    if (end && (*end == 'K' || *end == 'k'))
-        v *= 1024;
-    else if (end && (*end == 'M' || *end == 'm'))
-        v *= 1024 * 1024;
-    if (v < 64)
-        fatal("unparseable size '%s'", text.c_str());
-    return static_cast<std::uint64_t>(v);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string workload = "mpeg_play";
-    std::uint64_t cache_bytes = 4096;
-    std::uint64_t tlb_page = 4096;
-    unsigned line = 16, assoc = 1, sample = 1, trials = 1;
-    unsigned tlb_entries = 64;
-    std::uint64_t seed = 1;
-    unsigned scale = envScaleDiv(200);
-    Indexing indexing = Indexing::Physical;
-    std::string policy, sim = "tapeworm", kind = "instruction",
-                scope = "all";
+    SweepFlags flags;
     std::string experiment;
     std::string tracePath;
-    CostBackendConfig costBackend;
-    bool scaleSet = false;
     bool csv = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -122,53 +98,11 @@ main(int argc, char **argv)
             for (const auto &name : suiteNames())
                 std::printf("%s\n", name.c_str());
             return 0;
-        } else if (arg == "--workload") {
-            workload = value();
-        } else if (arg == "--cache") {
-            cache_bytes = parseSize(value());
-        } else if (arg == "--tlb-entries") {
-            tlb_entries =
-                static_cast<unsigned>(std::atoi(value().c_str()));
-        } else if (arg == "--tlb-page") {
-            tlb_page = parseSize(value());
-        } else if (arg == "--line") {
-            line = static_cast<unsigned>(std::atoi(value().c_str()));
-        } else if (arg == "--assoc") {
-            assoc = static_cast<unsigned>(std::atoi(value().c_str()));
-        } else if (arg == "--indexing") {
-            std::string v = value();
-            if (v == "virtual")
-                indexing = Indexing::Virtual;
-            else if (v == "physical")
-                indexing = Indexing::Physical;
-            else
-                fatal("bad indexing '%s'", v.c_str());
-        } else if (arg == "--policy") {
-            policy = value();
-        } else if (arg == "--sim") {
-            sim = value();
-        } else if (arg == "--kind") {
-            kind = value();
-        } else if (arg == "--scope") {
-            scope = value();
-        } else if (arg == "--sample") {
-            sample = static_cast<unsigned>(std::atoi(value().c_str()));
-        } else if (arg == "--cost-backend") {
-            std::string v = value(), err;
-            if (!parseCostBackendSpec(v, costBackend, err))
-                fatal("--cost-backend: %s", err.c_str());
-        } else if (arg == "--trials") {
-            trials =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+        } else if (flags.take(argc, argv, i)) {
+            continue;
         } else if (arg == "--threads") {
-            setDefaultThreads(
-                static_cast<unsigned>(std::atoi(value().c_str())));
-        } else if (arg == "--seed") {
-            seed = static_cast<std::uint64_t>(
-                std::atoll(value().c_str()));
-        } else if (arg == "--scale") {
-            scale = static_cast<unsigned>(std::atoi(value().c_str()));
-            scaleSet = true;
+            setDefaultThreads(static_cast<unsigned>(
+                decimalKnob("--threads", value().c_str(), UINT_MAX)));
         } else if (arg == "--experiment") {
             experiment = value();
         } else if (arg == "--csv") {
@@ -198,72 +132,14 @@ main(int argc, char **argv)
                   experiment.c_str());
         TablePrinterSink table(stdout);
         RunExperimentOptions opts;
-        opts.scaleDiv = scaleSet ? scale : 0;
+        opts.scaleDiv = flags.scaleSet ? flags.scale : 0;
         runExperiment(*def, table, opts);
         obs::traceStop(); // writes --trace-out, if armed
         return 0;
     }
 
-    RunSpec spec;
-    spec.workload = makeWorkload(workload, scale);
-    spec.tw.cache = CacheConfig::icache(cache_bytes, line, assoc,
-                                        indexing);
-    spec.tw.costBackend = costBackend;
-    spec.tlb.costBackend = costBackend;
-    if (policy == "fifo")
-        spec.tw.cache.policy = ReplPolicy::FIFO;
-    else if (policy == "random")
-        spec.tw.cache.policy = ReplPolicy::Random;
-    else if (policy == "lru")
-        spec.tw.cache.policy = ReplPolicy::LRU;
-    else if (!policy.empty())
-        fatal("bad policy '%s'", policy.c_str());
-
-    if (kind == "data")
-        spec.tw.kind = SimCacheKind::Data;
-    else if (kind == "unified")
-        spec.tw.kind = SimCacheKind::Unified;
-    else if (kind != "instruction")
-        fatal("bad kind '%s'", kind.c_str());
-
-    if (sim == "tapeworm") {
-        spec.sim = SimKind::Tapeworm;
-        if (spec.tw.cache.assoc > 1
-            && spec.tw.cache.policy == ReplPolicy::LRU) {
-            // Trap-driven simulation never sees hits: no recency.
-            warn("trap-driven simulation cannot do LRU; using FIFO");
-            spec.tw.cache.policy = ReplPolicy::FIFO;
-        }
-    } else if (sim == "trace") {
-        spec.sim = SimKind::TraceDriven;
-        spec.c2k.cache = spec.tw.cache;
-        spec.c2k.cache.indexing = Indexing::Virtual;
-        spec.c2k.sampleNum = 1;
-        spec.c2k.sampleDenom = sample;
-    } else if (sim == "tlb") {
-        spec.sim = SimKind::TapewormTlbSim;
-        spec.tlb.tlb = CacheConfig::tlb(
-            tlb_entries, 0, static_cast<std::uint32_t>(tlb_page));
-    } else if (sim == "oracle") {
-        spec.sim = SimKind::Oracle;
-    } else {
-        fatal("bad sim '%s'", sim.c_str());
-    }
-    spec.tw.sampleNum = 1;
-    spec.tw.sampleDenom = sample;
-
-    if (scope == "all")
-        spec.sys.scope = SimScope::all();
-    else if (scope == "user")
-        spec.sys.scope = SimScope::userOnly();
-    else if (scope == "servers")
-        spec.sys.scope = SimScope::serversOnly();
-    else if (scope == "kernel")
-        spec.sys.scope = SimScope::kernelOnly();
-    else
-        fatal("bad scope '%s'", scope.c_str());
-
-    auto outcomes = runTrials(spec, trials, seed, true);
+    RunSpec spec = flags.spec();
+    auto outcomes = runTrials(spec, flags.trials, flags.seed, true);
     obs::traceStop(); // writes --trace-out, if armed
 
     TextTable t({"trial", "misses", "missRatio", "MPI", "slowdown",
@@ -282,7 +158,7 @@ main(int argc, char **argv)
             fmtF(o.hostSeconds, 3),
         });
     }
-    if (trials > 1) {
+    if (flags.trials > 1) {
         Summary s = missSummary(outcomes);
         t.addRule();
         t.addRow({"mean", fmtF(s.mean, 0), "", "",
@@ -295,11 +171,12 @@ main(int argc, char **argv)
     if (!csv) {
         std::printf("workload=%s cache=%llu line=%u assoc=%u %s "
                     "%s sim=%s scope=%s sample=1/%u scale=1/%u\n\n",
-                    workload.c_str(),
-                    (unsigned long long)cache_bytes, line, assoc,
-                    indexingName(spec.tw.cache.indexing),
-                    replPolicyName(spec.tw.cache.policy), sim.c_str(),
-                    scope.c_str(), sample, scale);
+                    flags.workload.c_str(),
+                    (unsigned long long)flags.cacheBytes, flags.line,
+                    flags.assoc, indexingName(spec.tw.cache.indexing),
+                    replPolicyName(spec.tw.cache.policy),
+                    flags.sim.c_str(), flags.scope.c_str(),
+                    flags.sample, flags.scale);
         std::printf("%s", t.render().c_str());
     } else {
         std::printf("%s", t.renderCsv().c_str());

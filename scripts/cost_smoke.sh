@@ -10,8 +10,9 @@
 #     live, with both contention outcomes observed — and a dram
 #     dilation measurably different from the flat table5 model on
 #     the same sweep.
-#  3. Backend selection fails fast on typos: a bogus
-#     --cost-backend / TW_COST_BACKEND dies before any simulation.
+#  3. Backend selection fails fast on typos: a bogus name, key or
+#     value in --cost-backend / TW_COST_BACKEND dies before any
+#     simulation.
 #  4. twsim/twctl accept --cost-backend (ideal prices the same
 #     misses cheaper than the default on an identical run).
 #
@@ -74,6 +75,21 @@ if (cd "$T" && TW_SCALE_DIV="$SCALE" TW_COST_BACKEND=dram:nope=1 \
     "$DRIVER" --run fig2 >/dev/null 2>&1); then
     fail "TW_COST_BACKEND=dram:nope=1 was accepted"
 fi
+# Values must be plain decimals that fit the field: a wrapped or
+# truncated value would price every miss with the wrong timing.
+for bad in dram:tRCD=-1 'dram:tRCD= 5' dram:tREFI=+7 \
+    dram:tRCD=4294967297; do
+    if "$DRIVER" --run fig2 --cost-backend "$bad" >/dev/null 2>&1; then
+        fail "--cost-backend '$bad' was accepted"
+    fi
+    if (cd "$T" && TW_SCALE_DIV="$SCALE" TW_COST_BACKEND="$bad" \
+        "$DRIVER" --run fig2 >/dev/null 2>&1); then
+        fail "TW_COST_BACKEND='$bad' was accepted"
+    fi
+    if "$TWSIM" --cost-backend "$bad" >/dev/null 2>&1; then
+        fail "twsim --cost-backend '$bad' was accepted"
+    fi
+done
 echo "cost_smoke: malformed backend specs rejected"
 
 # ---- 4. twsim swap actually reprices ------------------------------

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "base/env.hh"
 #include "base/logging.hh"
 
 namespace tw
@@ -118,6 +119,34 @@ Json::asI64() const
     if (text_.find_first_of(".eE") == std::string::npos)
         return std::strtoll(text_.c_str(), nullptr, 10);
     return static_cast<std::int64_t>(asDouble());
+}
+
+bool
+Json::toUnsigned(std::uint64_t max, std::uint64_t &out) const
+{
+    return kind_ == Kind::Number && parseDecimal(text_.c_str(), max, out);
+}
+
+bool
+Json::toSigned(std::int64_t min, std::int64_t max,
+               std::int64_t &out) const
+{
+    if (kind_ != Kind::Number)
+        return false;
+    std::uint64_t mag = 0;
+    if (isNegative()) {
+        // |min| as unsigned, exact even for INT64_MIN.
+        std::uint64_t limit = 0 - static_cast<std::uint64_t>(min);
+        if (!parseDecimal(text_.c_str() + 1, limit, mag))
+            return false;
+        out = static_cast<std::int64_t>(0 - mag);
+        return true;
+    }
+    if (!parseDecimal(text_.c_str(), static_cast<std::uint64_t>(max),
+                      mag))
+        return false;
+    out = static_cast<std::int64_t>(mag);
+    return true;
 }
 
 Json &

@@ -75,6 +75,20 @@ class Json
                && text_[0] == '-';
     }
 
+    /**
+     * Strict integer reads, the ones every integer input should use:
+     * true only for a number whose lexeme is a plain decimal no
+     * greater than @p max (base/env.hh's parseDecimal: no sign,
+     * fraction or exponent, so "16.9", "-16", "1e3" and
+     * 4294967312 against a 32-bit max all fail). False leaves
+     * @p out alone.
+     */
+    bool toUnsigned(std::uint64_t max, std::uint64_t &out) const;
+    /** The same for [@p min, @p max] (min <= 0 <= max), allowing
+     *  one leading '-'. */
+    bool toSigned(std::int64_t min, std::int64_t max,
+                  std::int64_t &out) const;
+
     /** Value accessors; wrong-kind access returns the zero value
      *  (the parsers validate kinds before reading). */
     bool asBool() const { return kind_ == Kind::Bool && flag_; }

@@ -1,42 +1,17 @@
 #include "core/cost/cost_backend.hh"
 
 #include <cmath>
-#include <cstdlib>
+#include <limits>
+#include <type_traits>
+#include <vector>
 
+#include "base/env.hh"
 #include "base/logging.hh"
 #include "core/cost/dram_backend.hh"
 #include "obs/metrics.hh"
 
 namespace tw
 {
-
-const char *
-costBackendKindName(CostBackendKind k)
-{
-    switch (k) {
-      case CostBackendKind::Table5:
-        return "table5";
-      case CostBackendKind::Ideal:
-        return "ideal";
-      case CostBackendKind::Dram:
-        return "dram";
-    }
-    return "?";
-}
-
-bool
-costBackendKindFromName(const std::string &name, CostBackendKind &out)
-{
-    if (name == "table5")
-        out = CostBackendKind::Table5;
-    else if (name == "ideal")
-        out = CostBackendKind::Ideal;
-    else if (name == "dram")
-        out = CostBackendKind::Dram;
-    else
-        return false;
-    return true;
-}
 
 CostBackend::~CostBackend()
 {
@@ -66,17 +41,6 @@ Table5Backend::compute(const MissEvent &ev)
          + ev.extraInstr)
         * model_.cyclesPerInstr));
     return lastCycles_;
-}
-
-bool
-DramTimingParams::operator==(const DramTimingParams &o) const
-{
-    return channels == o.channels
-           && ranksPerChannel == o.ranksPerChannel
-           && banksPerRank == o.banksPerRank && rowBytes == o.rowBytes
-           && tRCD == o.tRCD && tRP == o.tRP && tCAS == o.tCAS
-           && tRAS == o.tRAS && tRFC == o.tRFC && tREFI == o.tREFI
-           && burstCycles == o.burstCycles && walkReads == o.walkReads;
 }
 
 bool
@@ -110,54 +74,6 @@ makeCostBackend(const CostBackendConfig &cfg,
     panic("unknown cost backend kind %d", static_cast<int>(cfg.kind));
 }
 
-namespace
-{
-
-bool
-parseDramParam(const std::string &key, const std::string &value,
-               DramTimingParams &p, std::string &err)
-{
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (value.empty() || end == nullptr || *end != '\0') {
-        err = csprintf("cost backend: bad value '%s' for '%s'",
-                       value.c_str(), key.c_str());
-        return false;
-    }
-    if (key == "tRCD")
-        p.tRCD = static_cast<unsigned>(v);
-    else if (key == "tRP")
-        p.tRP = static_cast<unsigned>(v);
-    else if (key == "tCAS")
-        p.tCAS = static_cast<unsigned>(v);
-    else if (key == "tRAS")
-        p.tRAS = static_cast<unsigned>(v);
-    else if (key == "tRFC")
-        p.tRFC = static_cast<unsigned>(v);
-    else if (key == "tREFI")
-        p.tREFI = v;
-    else if (key == "rowBytes")
-        p.rowBytes = static_cast<unsigned>(v);
-    else if (key == "banks")
-        p.banksPerRank = static_cast<unsigned>(v);
-    else if (key == "ranks")
-        p.ranksPerChannel = static_cast<unsigned>(v);
-    else if (key == "channels")
-        p.channels = static_cast<unsigned>(v);
-    else if (key == "burst")
-        p.burstCycles = static_cast<unsigned>(v);
-    else if (key == "walkReads")
-        p.walkReads = static_cast<unsigned>(v);
-    else {
-        err = csprintf("cost backend: unknown dram key '%s'",
-                       key.c_str());
-        return false;
-    }
-    return true;
-}
-
-} // namespace
-
 bool
 parseCostBackendSpec(const std::string &text, CostBackendConfig &out,
                      std::string &err)
@@ -170,7 +86,7 @@ parseCostBackendSpec(const std::string &text, CostBackendConfig &out,
         params = text.substr(colon + 1);
     }
     CostBackendConfig cfg;
-    if (!costBackendKindFromName(name, cfg.kind)) {
+    if (!enumFromName(name, cfg.kind)) {
         err = csprintf("cost backend: unknown name '%s' (expected "
                        "table5, ideal or dram)",
                        name.c_str());
@@ -194,9 +110,33 @@ parseCostBackendSpec(const std::string &text, CostBackendConfig &out,
                            kv.c_str());
             return false;
         }
-        if (!parseDramParam(kv.substr(0, eq), kv.substr(eq + 1),
-                            cfg.dram, err))
+        std::string key = kv.substr(0, eq);
+        std::string value = kv.substr(eq + 1);
+        bool known = false;
+        bool good = false;
+        auto set = [&](const char *name, auto &field) {
+            if (key != name)
+                return;
+            using Field = std::remove_reference_t<decltype(field)>;
+            std::uint64_t v = 0;
+            known = true;
+            good = parseDecimal(value.c_str(),
+                                std::numeric_limits<Field>::max(), v);
+            if (good)
+                field = static_cast<Field>(v);
+        };
+        fields(set, cfg.dram);
+        if (!known) {
+            err = csprintf("cost backend: unknown dram key '%s'",
+                           key.c_str());
             return false;
+        }
+        if (!good) {
+            err = csprintf("cost backend: bad value '%s' for '%s' (want "
+                           "a plain decimal that fits the field)",
+                           value.c_str(), key.c_str());
+            return false;
+        }
     }
     if (cfg.kind == CostBackendKind::Dram) {
         if (cfg.dram.totalBanks() == 0 || cfg.dram.rowBytes == 0) {
@@ -215,39 +155,24 @@ formatCostBackendSpec(const CostBackendConfig &cfg)
     std::string s = costBackendKindName(cfg.kind);
     if (cfg.kind != CostBackendKind::Dram)
         return s;
+    // Defaults in field-list order, then the fields that differ.
+    std::vector<std::uint64_t> defaults;
+    auto collect = [&defaults](const char *, std::uint64_t field) {
+        defaults.push_back(field);
+    };
     const DramTimingParams def;
-    const DramTimingParams &p = cfg.dram;
+    fields(collect, def);
     std::string params;
-    auto add = [&params](const char *k, std::uint64_t v) {
+    std::size_t i = 0;
+    auto add = [&](const char *k, std::uint64_t field) {
+        if (field == defaults[i++])
+            return;
         if (!params.empty())
             params += ',';
         params += csprintf("%s=%llu", k,
-                           static_cast<unsigned long long>(v));
+                           static_cast<unsigned long long>(field));
     };
-    if (p.tRCD != def.tRCD)
-        add("tRCD", p.tRCD);
-    if (p.tRP != def.tRP)
-        add("tRP", p.tRP);
-    if (p.tCAS != def.tCAS)
-        add("tCAS", p.tCAS);
-    if (p.tRAS != def.tRAS)
-        add("tRAS", p.tRAS);
-    if (p.tRFC != def.tRFC)
-        add("tRFC", p.tRFC);
-    if (p.tREFI != def.tREFI)
-        add("tREFI", p.tREFI);
-    if (p.rowBytes != def.rowBytes)
-        add("rowBytes", p.rowBytes);
-    if (p.banksPerRank != def.banksPerRank)
-        add("banks", p.banksPerRank);
-    if (p.ranksPerChannel != def.ranksPerChannel)
-        add("ranks", p.ranksPerChannel);
-    if (p.channels != def.channels)
-        add("channels", p.channels);
-    if (p.burstCycles != def.burstCycles)
-        add("burst", p.burstCycles);
-    if (p.walkReads != def.walkReads)
-        add("walkReads", p.walkReads);
+    fields(add, cfg.dram);
     if (!params.empty())
         s += ':' + params;
     return s;

@@ -28,6 +28,8 @@
 #include <memory>
 #include <string>
 
+#include "base/enum_names.hh"
+#include "base/fields.hh"
 #include "base/types.hh"
 #include "core/cost_model.hh"
 
@@ -37,12 +39,23 @@ namespace tw
 /** Which backend prices misses. */
 enum class CostBackendKind { Table5, Ideal, Dram };
 
-/** Wire/CLI name of a backend kind. */
-const char *costBackendKindName(CostBackendKind k);
+inline constexpr EnumName<CostBackendKind> kCostBackendKindNames[] = {
+    {CostBackendKind::Table5, "table5"},
+    {CostBackendKind::Ideal, "ideal"},
+    {CostBackendKind::Dram, "dram"},
+};
+constexpr const auto &
+enumNames(CostBackendKind)
+{
+    return kCostBackendKindNames;
+}
 
-/** Parse a backend kind name ("table5", "ideal", "dram"). */
-bool costBackendKindFromName(const std::string &name,
-                             CostBackendKind &out);
+/** Wire/CLI name of a backend kind. */
+inline const char *
+costBackendKindName(CostBackendKind k)
+{
+    return enumName(k);
+}
 
 /** What kind of miss a CostBackend is pricing. */
 enum class MissKind
@@ -182,12 +195,32 @@ struct DramTimingParams
         return channels * ranksPerChannel * banksPerRank;
     }
 
-    bool operator==(const DramTimingParams &o) const;
-    bool operator!=(const DramTimingParams &o) const
-    {
-        return !(*this == o);
-    }
+    bool operator==(const DramTimingParams &o) const = default;
 };
+
+/**
+ * The field list of DramTimingParams (see base/fields.hh): the keys
+ * of both the spec text's "dram" block and the NAME:k=v backend spec
+ * (parseCostBackendSpec), in canonical order.
+ */
+template <typename V, typename S>
+    requires FieldsOf<S, DramTimingParams>
+void
+fields(V &v, S &p)
+{
+    v("channels", p.channels);
+    v("ranks", p.ranksPerChannel);
+    v("banks", p.banksPerRank);
+    v("rowBytes", p.rowBytes);
+    v("tRCD", p.tRCD);
+    v("tRP", p.tRP);
+    v("tCAS", p.tCAS);
+    v("tRAS", p.tRAS);
+    v("tRFC", p.tRFC);
+    v("tREFI", p.tREFI);
+    v("burst", p.burstCycles);
+    v("walkReads", p.walkReads);
+}
 
 /** Which backend a spec wants, plus its parameters. */
 struct CostBackendConfig
@@ -218,16 +251,17 @@ makeCostBackend(const CostBackendConfig &cfg,
 
 /**
  * Parse a CLI/env backend spec: NAME[:k=v,...], e.g.
- * "dram:tRCD=15,banks=16". Keys (dram only): tRCD, tRP, tCAS,
- * tRAS, tRFC, tREFI, rowBytes, banks, ranks, channels, burst,
- * walkReads. Returns false with a diagnostic in @p err on any
- * unknown name, unknown key, or malformed value.
+ * "dram:tRCD=15,banks=16". Keys (dram only) are the names in the
+ * DramTimingParams field list; each value is a plain decimal that
+ * fits its field (base/env.hh). Returns false with a diagnostic in
+ * @p err on any unknown name, unknown key, or malformed value.
  */
 bool parseCostBackendSpec(const std::string &text,
                           CostBackendConfig &out, std::string &err);
 
 /** Render a config back to NAME[:k=v,...] (inverse of the parser;
- *  dram params are listed only where they differ from defaults). */
+ *  dram params are listed only where they differ from defaults, in
+ *  field-list order). */
 std::string formatCostBackendSpec(const CostBackendConfig &cfg);
 
 } // namespace tw

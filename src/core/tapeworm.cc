@@ -275,20 +275,6 @@ Tapeworm::onRef(const Task &task, Addr va, Addr pa, bool intr_masked,
     return backend_->missCycles(ev);
 }
 
-const char *
-simCacheKindName(SimCacheKind k)
-{
-    switch (k) {
-      case SimCacheKind::Instruction:
-        return "instruction";
-      case SimCacheKind::Data:
-        return "data";
-      case SimCacheKind::Unified:
-        return "unified";
-    }
-    return "?";
-}
-
 double
 Tapeworm::estimatedTotalMisses() const
 {

@@ -34,6 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "base/enum_names.hh"
 #include "base/types.hh"
 #include "core/cost/cost_backend.hh"
 #include "core/cost_model.hh"
@@ -48,8 +49,15 @@ namespace tw
 /** Which reference kinds a simulated cache consumes. */
 enum class SimCacheKind { Instruction, Data, Unified };
 
+inline constexpr EnumName<SimCacheKind> kSimCacheKindNames[] = {
+    {SimCacheKind::Instruction, "instruction"},
+    {SimCacheKind::Data, "data"},
+    {SimCacheKind::Unified, "unified"},
+};
+constexpr const auto &enumNames(SimCacheKind) { return kSimCacheKindNames; }
+
 /** Human-readable cache-kind name. */
-const char *simCacheKindName(SimCacheKind k);
+inline const char *simCacheKindName(SimCacheKind k) { return enumName(k); }
 
 /**
  * How the HOST machine treats stores to trapped memory. On the
@@ -62,12 +70,28 @@ const char *simCacheKindName(SimCacheKind k);
  */
 enum class HostWritePolicy { AllocateOnWrite, NoAllocateOnWrite };
 
+inline constexpr EnumName<HostWritePolicy> kHostWritePolicyNames[] = {
+    {HostWritePolicy::AllocateOnWrite, "allocate"},
+    {HostWritePolicy::NoAllocateOnWrite, "no-allocate"},
+};
+constexpr const auto &
+enumNames(HostWritePolicy)
+{
+    return kHostWritePolicyNames;
+}
+
 /** How the sampled sets are selected. */
 enum class SampleMode
 {
     RandomSets,   //!< uniform random subset (seeded)
     ConstantBits, //!< congruence class of the low index bits
 };
+
+inline constexpr EnumName<SampleMode> kSampleModeNames[] = {
+    {SampleMode::RandomSets, "random-sets"},
+    {SampleMode::ConstantBits, "constant-bits"},
+};
+constexpr const auto &enumNames(SampleMode) { return kSampleModeNames; }
 
 /** Configuration of one Tapeworm cache simulation. */
 struct TapewormConfig

@@ -22,6 +22,7 @@
 #include <array>
 #include <string>
 
+#include "base/enum_names.hh"
 #include "core/tapeworm.hh"
 #include "core/tapeworm_tlb.hh"
 #include "os/system.hh"
@@ -36,6 +37,15 @@ namespace tw
 /** Which simulator to attach. */
 enum class SimKind { None, Tapeworm, TapewormTlbSim, TraceDriven,
                      Oracle };
+
+inline constexpr EnumName<SimKind> kSimKindNames[] = {
+    {SimKind::None, "none"},
+    {SimKind::Tapeworm, "tapeworm"},
+    {SimKind::TapewormTlbSim, "tlb"},
+    {SimKind::TraceDriven, "trace"},
+    {SimKind::Oracle, "oracle"},
+};
+constexpr const auto &enumNames(SimKind) { return kSimKindNames; }
 
 /**
  * Why a spec with sampling enabled runs in full instead (None: it is

@@ -4,7 +4,7 @@
  * the fingerprint derived from it.
  *
  * One rendering serves three masters, so field drift in any of them
- * is caught by the same round-trip test:
+ * is caught by the same tests:
  *
  *  - the experiment service's wire protocol ships specs and
  *    outcomes as these exact bytes;
@@ -12,17 +12,26 @@
  *    seed and slowdown flag) — two requests hit the same entry iff
  *    their canonical forms are byte-identical;
  *  - specFingerprint() hashes the same bytes into 64 bits for
- *    logging/stats (and future sharding).
+ *    logging/stats and shard placement.
+ *
+ * Each serialized struct has ONE field list in specio.cc (a
+ * `fields(v, s)` template naming every member once, in canonical
+ * order; DramTimingParams's is in core/cost/cost_backend.hh). An
+ * emit visitor and a strict parse visitor both walk it, so a field
+ * cannot be written in one direction only.
  *
  * Canonicalization rules:
- *  - fields are emitted in a fixed order with no whitespace
+ *  - fields are emitted in field-list order with no whitespace
  *    (Json::dump() on an insertion-ordered object);
- *  - doubles render with %.17g (exact round-trip), 64-bit integers
- *    as decimal (never through a double);
- *  - parsing is STRICT: a missing or unknown field is an error, so
- *    adding a member to RunSpec without teaching this file breaks
- *    the round-trip test instead of silently truncating the cache
- *    key;
+ *  - doubles render with %.17g (exact round-trip), integers as
+ *    decimal (never through a double);
+ *  - parsing is STRICT: a missing or unknown field is an error, an
+ *    integer field takes only a plain decimal that fits its width
+ *    (Json::toUnsigned/toSigned), an enum only a name from its
+ *    table, a fixed-size array only its exact length;
+ *  - blocks added after v1 (costBackend, sample) are emitted only
+ *    when not default, and a parse without them resets them to the
+ *    default, so specs that do not use them keep their old bytes;
  *  - RunOutcome::hostSeconds is EXCLUDED: it is transport metadata
  *    (wall-clock of whichever host computed the row), not part of
  *    the deterministic outcome, and including it would break the
@@ -31,6 +40,15 @@
  *  - cacheKey() normalizes sys.trialSeed to 0 before rendering:
  *    Runner overwrites it with the per-trial seed, so two specs
  *    differing only there are the same experiment.
+ *
+ * Adding a field: add the member, then one v("name", s.member) line
+ * to its struct's field list (inside an optional block if existing
+ * specs must keep their bytes). The SpecIoGolden test pins the
+ * canonical bytes of every registry grid unit and a few corner specs
+ * and outcomes (tests/harness/specio_golden.inc); if it fails, cache
+ * keys and shard owners moved. Regenerating the pins (the failing
+ * test writes specio_golden.inc.new into its working directory) is
+ * a deliberate cache-key break, not a routine fix.
  */
 
 #ifndef TW_HARNESS_SPECIO_HH

@@ -11,26 +11,6 @@
 namespace tw
 {
 
-const char *
-replPolicyName(ReplPolicy p)
-{
-    switch (p) {
-      case ReplPolicy::LRU:
-        return "LRU";
-      case ReplPolicy::FIFO:
-        return "FIFO";
-      case ReplPolicy::Random:
-        return "Random";
-    }
-    return "?";
-}
-
-const char *
-indexingName(Indexing i)
-{
-    return i == Indexing::Virtual ? "virtual" : "physical";
-}
-
 void
 CacheConfig::validate() const
 {

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <string>
 
+#include "base/enum_names.hh"
 #include "base/types.hh"
 
 namespace tw
@@ -36,11 +37,24 @@ enum class Indexing { Virtual, Physical };
  */
 enum class ReplPolicy { LRU, FIFO, Random };
 
+inline constexpr EnumName<Indexing> kIndexingNames[] = {
+    {Indexing::Virtual, "virtual"},
+    {Indexing::Physical, "physical"},
+};
+constexpr const auto &enumNames(Indexing) { return kIndexingNames; }
+
+inline constexpr EnumName<ReplPolicy> kReplPolicyNames[] = {
+    {ReplPolicy::LRU, "LRU"},
+    {ReplPolicy::FIFO, "FIFO"},
+    {ReplPolicy::Random, "Random"},
+};
+constexpr const auto &enumNames(ReplPolicy) { return kReplPolicyNames; }
+
 /** Human-readable name of a replacement policy. */
-const char *replPolicyName(ReplPolicy p);
+inline const char *replPolicyName(ReplPolicy p) { return enumName(p); }
 
 /** Human-readable name of an indexing mode. */
-const char *indexingName(Indexing i);
+inline const char *indexingName(Indexing i) { return enumName(i); }
 
 /**
  * Geometry and policy of one simulated cache (or TLB, where a "line"

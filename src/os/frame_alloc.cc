@@ -5,20 +5,6 @@
 namespace tw
 {
 
-const char *
-allocPolicyName(AllocPolicy p)
-{
-    switch (p) {
-      case AllocPolicy::Random:
-        return "random";
-      case AllocPolicy::Sequential:
-        return "sequential";
-      case AllocPolicy::Coloring:
-        return "coloring";
-    }
-    return "?";
-}
-
 FrameAllocator::FrameAllocator(std::uint64_t num_frames,
                                std::uint64_t reserved_frames,
                                AllocPolicy policy, std::uint64_t seed,

@@ -20,6 +20,7 @@
 #include <set>
 #include <vector>
 
+#include "base/enum_names.hh"
 #include "base/random.hh"
 #include "base/types.hh"
 #include "os/page_table.hh"
@@ -30,8 +31,15 @@ namespace tw
 /** How the VM system picks free frames. */
 enum class AllocPolicy { Random, Sequential, Coloring };
 
+inline constexpr EnumName<AllocPolicy> kAllocPolicyNames[] = {
+    {AllocPolicy::Random, "random"},
+    {AllocPolicy::Sequential, "sequential"},
+    {AllocPolicy::Coloring, "coloring"},
+};
+constexpr const auto &enumNames(AllocPolicy) { return kAllocPolicyNames; }
+
 /** Human-readable policy name. */
-const char *allocPolicyName(AllocPolicy p);
+inline const char *allocPolicyName(AllocPolicy p) { return enumName(p); }
 
 /**
  * Free-frame pool with pluggable selection policy.

@@ -69,14 +69,7 @@ struct SampleConfig
      *  degenerates to zero); 0 disables. */
     double ciRelFloor = 0.0;
 
-    bool
-    operator==(const SampleConfig &o) const
-    {
-        return enabled == o.enabled && intervalRefs == o.intervalRefs
-               && warmupRefs == o.warmupRefs && clusters == o.clusters
-               && perCluster == o.perCluster && seed == o.seed
-               && ciRelFloor == o.ciRelFloor;
-    }
+    bool operator==(const SampleConfig &o) const = default;
 };
 
 /**

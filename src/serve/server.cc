@@ -7,6 +7,8 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <optional>
 
 #include "base/logging.hh"
@@ -613,20 +615,9 @@ Server::handleSubmit(const std::shared_ptr<Session> &session,
         return bad("spec must be an object or canonical text");
     }
 
-    const Json *seedsj = reqJson.find("seeds");
-    if (!seedsj || !seedsj->isArray() || seedsj->size() == 0)
-        return bad("seeds must be a non-empty array");
     std::vector<std::uint64_t> seeds;
-    seeds.reserve(seedsj->size());
-    for (std::size_t i = 0; i < seedsj->size(); ++i) {
-        const Json &s = seedsj->at(i);
-        // asU64 clamps negative lexemes to 0 instead of wrapping;
-        // a clamped seed would silently compute the wrong trial, so
-        // reject it here.
-        if (!s.isNumber() || s.isNegative())
-            return bad("seeds must be non-negative integers");
-        seeds.push_back(s.asU64());
-    }
+    if (!readSeeds(reqJson, seeds, err))
+        return bad(err);
 
     bool slowdown = true;
     if (const Json *j = reqJson.find("slowdown")) {
@@ -634,13 +625,12 @@ Server::handleSubmit(const std::shared_ptr<Session> &session,
             return bad("slowdown must be a bool");
         slowdown = j->asBool();
     }
+    std::optional<std::uint64_t> deadlineMs;
+    if (!readDeadlineMs(reqJson, deadlineMs, err))
+        return bad(err);
     std::optional<Clock::time_point> deadline;
-    if (const Json *j = reqJson.find("deadline_ms")) {
-        if (!j->isNumber() || j->isNegative())
-            return bad("deadline_ms must be a non-negative number");
-        deadline = Clock::now()
-                   + std::chrono::milliseconds(j->asU64());
-    }
+    if (deadlineMs)
+        deadline = Clock::now() + std::chrono::milliseconds(*deadlineMs);
 
     // ---- Plan: cache hits vs jobs ---------------------------------
     auto request = std::make_shared<Request>();
@@ -693,13 +683,13 @@ Server::handleRunExperiment(const std::shared_ptr<Session> &session,
     if (!def)
         return bad("unknown experiment '" + ej->asString() + "'");
 
-    unsigned scaleOverride = 0;
+    std::uint64_t scaleOverride = 0;
     if (const Json *j = reqJson.find("scale")) {
-        if (!j->isNumber() || j->isNegative())
-            return bad("scale must be a non-negative number");
-        scaleOverride = static_cast<unsigned>(j->asU64());
+        if (!j->toUnsigned(UINT_MAX, scaleOverride))
+            return bad("scale must be a non-negative integer");
     }
-    unsigned scale = experimentScale(*def, scaleOverride);
+    unsigned scale =
+        experimentScale(*def, static_cast<unsigned>(scaleOverride));
 
     // The SAME deterministic enumeration bench_driver runs locally:
     // units in grid order, trials in plan order, seq dense from 0.
@@ -751,14 +741,13 @@ Server::handleReserve(const std::shared_ptr<Session> &session,
 {
     metrics_.reserves.inc();
     const Json *j = reqJson.find("jobs");
-    if (!j || !j->isNumber() || j->isNegative()
-        || j->asU64() == 0) {
+    std::uint64_t n = 0;
+    if (!j || !j->toUnsigned(SIZE_MAX, n) || n == 0) {
         metrics_.badRequests.inc();
         sendError(session, id, kErrBadRequest,
                   "jobs must be a positive integer");
         return;
     }
-    auto n = static_cast<std::size_t>(j->asU64());
     if (!queue_.tryReserve(n)) {
         metrics_.reserveRejects.inc();
         if (stopping_.load()) {
@@ -794,7 +783,8 @@ Server::handleRelease(const std::shared_ptr<Session> &session,
 {
     metrics_.releases.inc();
     const Json *j = reqJson.find("reservation");
-    if (!j || !j->isNumber() || j->isNegative()) {
+    std::uint64_t token = 0;
+    if (!j || !j->toUnsigned(UINT64_MAX, token)) {
         metrics_.badRequests.inc();
         sendError(session, id, kErrBadRequest,
                   "reservation must be a non-negative integer");
@@ -803,7 +793,7 @@ Server::handleRelease(const std::shared_ptr<Session> &session,
     // Idempotent: releasing a settled (or never-issued) token
     // releases 0 — a router retrying a release after a timeout must
     // not get an error storm.
-    std::size_t slots = takeReservation(j->asU64(), session.get());
+    std::size_t slots = takeReservation(token, session.get());
     if (slots > 0)
         queue_.releaseReserved(slots);
     Json resp = Json::object();
@@ -827,9 +817,8 @@ Server::handleRunJobs(const std::shared_ptr<Session> &session,
 
     std::uint64_t reservation = 0;
     if (const Json *j = reqJson.find("reservation")) {
-        if (!j->isNumber() || j->isNegative())
+        if (!j->toUnsigned(UINT64_MAX, reservation))
             return bad("reservation must be a non-negative integer");
-        reservation = j->asU64();
     }
     std::string experiment;
     if (const Json *j = reqJson.find("experiment")) {
@@ -837,13 +826,13 @@ Server::handleRunJobs(const std::shared_ptr<Session> &session,
             return bad("experiment must be a string");
         experiment = j->asString();
     }
+    std::optional<std::uint64_t> deadlineMs;
+    std::string deadlineErr;
+    if (!readDeadlineMs(reqJson, deadlineMs, deadlineErr))
+        return bad(deadlineErr);
     std::optional<Clock::time_point> deadline;
-    if (const Json *j = reqJson.find("deadline_ms")) {
-        if (!j->isNumber() || j->isNegative())
-            return bad("deadline_ms must be a non-negative number");
-        deadline = Clock::now()
-                   + std::chrono::milliseconds(j->asU64());
-    }
+    if (deadlineMs)
+        deadline = Clock::now() + std::chrono::milliseconds(*deadlineMs);
     // Batch-level default spec: jobs that omit their own "spec"
     // share this one, parsed once. A fan-out batch is usually one
     // sweep's slice, so this turns O(jobs) copies of the ~6 KB
@@ -893,9 +882,9 @@ Server::handleRunJobs(const std::shared_ptr<Session> &session,
                        "default spec");
         }
         const Json *seedj = jj.find("seed");
-        if (!seedj || !seedj->isNumber() || seedj->isNegative())
+        std::uint64_t seed = 0;
+        if (!seedj || !seedj->toUnsigned(UINT64_MAX, seed))
             return bad("job seed must be a non-negative integer");
-        std::uint64_t seed = seedj->asU64();
         bool slowdown = true;
         if (const Json *j = jj.find("slowdown")) {
             if (!j->isBool())
@@ -904,10 +893,9 @@ Server::handleRunJobs(const std::shared_ptr<Session> &session,
         }
         std::uint64_t trial = i;
         if (const Json *j = jj.find("trial")) {
-            if (!j->isNumber() || j->isNegative())
+            if (!j->toUnsigned(UINT64_MAX, trial))
                 return bad("job trial must be a non-negative "
                            "integer");
-            trial = j->asU64();
         }
         std::string unit;
         if (const Json *j = jj.find("unit")) {
@@ -917,9 +905,8 @@ Server::handleRunJobs(const std::shared_ptr<Session> &session,
         }
         std::uint64_t seq = trial;
         if (const Json *j = jj.find("seq")) {
-            if (!j->isNumber() || j->isNegative())
+            if (!j->toUnsigned(UINT64_MAX, seq))
                 return bad("job seq must be a non-negative integer");
-            seq = j->asU64();
         }
 
         std::string key = cacheKey(*spec, seed, slowdown);

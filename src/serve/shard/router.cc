@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <climits>
 #include <map>
 #include <optional>
 #include <set>
@@ -709,26 +710,18 @@ Router::handleSubmit(ClientConn *c, std::uint64_t id,
         return bad("spec must be an object or canonical text");
     }
 
-    const Json *seedsj = reqJson.find("seeds");
-    if (!seedsj || !seedsj->isArray() || seedsj->size() == 0)
-        return bad("seeds must be a non-empty array");
     std::vector<std::uint64_t> seeds;
-    seeds.reserve(seedsj->size());
-    for (std::size_t i = 0; i < seedsj->size(); ++i) {
-        const Json &s = seedsj->at(i);
-        if (!s.isNumber() || s.isNegative())
-            return bad("seeds must be non-negative integers");
-        seeds.push_back(s.asU64());
-    }
+    if (!readSeeds(reqJson, seeds, err))
+        return bad(err);
     bool slowdown = true;
     if (const Json *j = reqJson.find("slowdown")) {
         if (!j->isBool())
             return bad("slowdown must be a bool");
         slowdown = j->asBool();
     }
-    const Json *deadline = reqJson.find("deadline_ms");
-    if (deadline && (!deadline->isNumber() || deadline->isNegative()))
-        return bad("deadline_ms must be a non-negative number");
+    std::optional<std::uint64_t> deadline;
+    if (!readDeadlineMs(reqJson, deadline, err))
+        return bad(err);
 
     std::string text = formatRunSpec(spec);
     std::vector<PlannedJob> jobs;
@@ -765,13 +758,13 @@ Router::handleRunExperiment(ClientConn *c, std::uint64_t id,
         ExperimentRegistry::instance().find(ej->asString());
     if (!def)
         return bad("unknown experiment '" + ej->asString() + "'");
-    unsigned scaleOverride = 0;
+    std::uint64_t scaleOverride = 0;
     if (const Json *j = reqJson.find("scale")) {
-        if (!j->isNumber() || j->isNegative())
-            return bad("scale must be a non-negative number");
-        scaleOverride = static_cast<unsigned>(j->asU64());
+        if (!j->toUnsigned(UINT_MAX, scaleOverride))
+            return bad("scale must be a non-negative integer");
     }
-    unsigned scale = experimentScale(*def, scaleOverride);
+    unsigned scale =
+        experimentScale(*def, static_cast<unsigned>(scaleOverride));
 
     // The SAME enumeration a single twserved (or a local
     // bench_driver) runs — seq dense from 0 — which is exactly what
@@ -793,14 +786,14 @@ Router::handleRunExperiment(ClientConn *c, std::uint64_t id,
     }
     if (jobs.empty())
         return bad("experiment has no jobs");
-    startRequest(c, id, def->name, std::move(jobs), nullptr);
+    startRequest(c, id, def->name, std::move(jobs), std::nullopt);
 }
 
 void
 Router::startRequest(ClientConn *c, std::uint64_t id,
                      std::string experiment,
                      std::vector<PlannedJob> jobs,
-                     const Json *deadline_ms)
+                     std::optional<std::uint64_t> deadline_ms)
 {
     if (stopping_.load()) {
         rc().rejected.inc();
@@ -820,8 +813,7 @@ Router::startRequest(ClientConn *c, std::uint64_t id,
     p->clientId = id;
     p->experiment = std::move(experiment);
     p->totalJobs = jobs.size();
-    if (deadline_ms)
-        p->deadlineMs = deadline_ms->asU64();
+    p->deadlineMs = deadline_ms;
 
     // Group by ring owner. Member order is the sorted member set,
     // so part order is deterministic too.

@@ -47,6 +47,7 @@
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -176,7 +177,7 @@ class Router
     void startRequest(ClientConn *c, std::uint64_t id,
                       std::string experiment,
                       std::vector<PlannedJob> jobs,
-                      const Json *deadline_ms);
+                      std::optional<std::uint64_t> deadline_ms);
     void startFan(ClientConn *c, std::uint64_t id, bool stats);
 
     void commitPending(Pending &p);

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -14,6 +15,42 @@ namespace tw
 {
 namespace serve
 {
+
+bool
+readSeeds(const Json &req, std::vector<std::uint64_t> &out,
+          std::string &err)
+{
+    const Json *seeds = req.find("seeds");
+    if (!seeds || !seeds->isArray() || seeds->size() == 0) {
+        err = "seeds must be a non-empty array";
+        return false;
+    }
+    out.assign(seeds->size(), 0);
+    for (std::size_t i = 0; i < seeds->size(); ++i) {
+        if (!seeds->at(i).toUnsigned(UINT64_MAX, out[i])) {
+            err = "seeds must be non-negative integers";
+            return false;
+        }
+    }
+    return true;
+}
+
+bool
+readDeadlineMs(const Json &req, std::optional<std::uint64_t> &out,
+               std::string &err)
+{
+    out.reset();
+    const Json *j = req.find("deadline_ms");
+    if (!j)
+        return true;
+    std::uint64_t ms = 0;
+    if (!j->toUnsigned(kMaxDeadlineMs, ms)) {
+        err = "deadline_ms must be an integer in 0..1000000000000";
+        return false;
+    }
+    out = ms;
+    return true;
+}
 
 bool
 sendAll(int fd, const char *data, std::size_t len)

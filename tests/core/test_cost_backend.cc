@@ -275,6 +275,42 @@ TEST(CostBackend, ParserRejectsMalformedSpecs)
     EXPECT_FALSE(parseCostBackendSpec("dram:rowBytes=0", cfg, err));
 }
 
+TEST(CostBackend, ParserTakesOnlyPlainDecimalsThatFit)
+{
+    // Each value is a plain decimal no wider than its field: no
+    // sign, blank, exponent or wrap-around.
+    CostBackendConfig cfg;
+    std::string err;
+    for (const char *bad :
+         {"dram:tRCD=-1", "dram:tRCD= 5", "dram:tRCD=5 ",
+          "dram:tREFI=+7", "dram:tRCD=4294967297", "dram:tRCD=1e3",
+          "dram:tRCD=0x10", "dram:tREFI=18446744073709551616"}) {
+        EXPECT_FALSE(parseCostBackendSpec(bad, cfg, err)) << bad;
+        EXPECT_NE(err.find("bad value"), std::string::npos) << err;
+    }
+    // tREFI is 64-bit, so a value past 32 bits is fine there.
+    ASSERT_TRUE(parseCostBackendSpec("dram:tREFI=4294967297", cfg, err))
+        << err;
+    EXPECT_EQ(cfg.dram.tREFI, 4294967297ull);
+}
+
+TEST(CostBackend, FormatSpecListsEveryChangedKey)
+{
+    CostBackendConfig cfg;
+    cfg.kind = CostBackendKind::Dram;
+    cfg.dram.channels = 2;
+    cfg.dram.tREFI = 0;
+    cfg.dram.walkReads = 5;
+    EXPECT_EQ(formatCostBackendSpec(cfg),
+              "dram:channels=2,tREFI=0,walkReads=5");
+    CostBackendConfig back;
+    std::string err;
+    ASSERT_TRUE(parseCostBackendSpec(formatCostBackendSpec(cfg), back,
+                                     err))
+        << err;
+    EXPECT_EQ(back, cfg);
+}
+
 TEST(CostBackend, FormatSpecInvertsParser)
 {
     CostBackendConfig cfg;

@@ -8,8 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <string>
+#include <vector>
 
+#include "base/logging.hh"
+#include "harness/experiment.hh"
 #include "harness/runner.hh"
 #include "harness/specio.hh"
 #include "workload/spec.hh"
@@ -384,6 +391,281 @@ TEST(SpecIo, U64SeedSurvivesWireExactly)
     std::string err;
     ASSERT_TRUE(parseRunSpec(formatRunSpec(spec), back, err)) << err;
     EXPECT_EQ(back.tw.sampleSeed, spec.tw.sampleSeed);
+}
+
+// ---------------------------------------------------------------
+// Strict numbers. Spec text arrives from outside the program (the
+// twserved/router wire), so an integer field takes a plain decimal
+// that fits the field and nothing else: never a wrapped, truncated
+// or clamped value.
+// ---------------------------------------------------------------
+
+/** The canonical text of fig2's first unit with the first
+ *  `"key":value` member's value replaced by @p lexeme. */
+std::string
+fig2SpecWith(const std::string &key, const std::string &lexeme)
+{
+    ::unsetenv("TW_FIG2_ONLY_KB");
+    ::unsetenv("TW_FIG2_DCACHE");
+    const ExperimentDef *fig2 =
+        ExperimentRegistry::instance().find("fig2");
+    std::string text = formatRunSpec(fig2->grid(2000).at(0).spec);
+    std::string member = "\"" + key + "\":";
+    std::size_t at = text.find(member);
+    EXPECT_NE(at, std::string::npos) << key;
+    at += member.size();
+    std::size_t end = text.find_first_of(",}", at);
+    return text.replace(at, end - at, lexeme);
+}
+
+/** Parse must fail and name the field. */
+void
+expectRejected(const std::string &key, const std::string &lexeme)
+{
+    RunSpec out;
+    std::string err;
+    EXPECT_FALSE(parseRunSpec(fig2SpecWith(key, lexeme), out, err))
+        << key << "=" << lexeme << " was accepted";
+    EXPECT_NE(err.find(key), std::string::npos) << err;
+}
+
+TEST(SpecIo, StrictParseAcceptsTheUnchangedFig2Spec)
+{
+    RunSpec out;
+    std::string err;
+    EXPECT_TRUE(parseRunSpec(fig2SpecWith("lineBytes", "16"), out, err))
+        << err;
+    EXPECT_EQ(out.tw.cache.lineBytes, 16u);
+}
+
+TEST(SpecIo, StrictParseRejectsU32Overflow)
+{
+    expectRejected("lineBytes", "4294967312");
+}
+
+TEST(SpecIo, StrictParseRejectsNegativeUnsigned)
+{
+    expectRejected("lineBytes", "-16");
+}
+
+TEST(SpecIo, StrictParseRejectsFractionalInteger)
+{
+    expectRejected("lineBytes", "16.9");
+}
+
+TEST(SpecIo, StrictParseRejectsExponentInteger)
+{
+    expectRejected("assoc", "1e30");
+    expectRejected("assoc", "1e0");
+}
+
+TEST(SpecIo, StrictParseRejectsU64Overflow)
+{
+    expectRejected("physMemBytes", "18446744073709551616");
+}
+
+TEST(SpecIo, StrictParseRejectsSignedFieldOutOfRange)
+{
+    expectRejected("traceTarget", "2147483648");
+    expectRejected("traceTarget", "-2147483649");
+    expectRejected("traceTarget", "3.5");
+    RunSpec out;
+    std::string err;
+    ASSERT_TRUE(
+        parseRunSpec(fig2SpecWith("traceTarget", "-7"), out, err))
+        << err;
+    EXPECT_EQ(out.traceTarget, -7);
+}
+
+TEST(SpecIo, StrictParseRejectsNonFiniteDouble)
+{
+    expectRejected("fracUser", "1e999");
+}
+
+TEST(SpecIo, StrictParseRejectsWrongKinds)
+{
+    expectRejected("lineBytes", "\"16\"");
+    expectRejected("clockJitter", "1");
+    expectRejected("fracUser", "true");
+}
+
+TEST(SpecIo, StrictParseRejectsMalformedArrayElement)
+{
+    RunOutcome o;
+    Json j = outcomeToJson(o);
+    Json run = *j.find("run");
+    Json instr = Json::array();
+    for (std::size_t i = 0; i < o.run.instr.size(); ++i)
+        instr.push(i == 1 ? Json::number(1.5) : Json::number(1u));
+    run.set("instr", std::move(instr));
+    j.set("run", std::move(run));
+    RunOutcome back;
+    std::string err;
+    EXPECT_FALSE(outcomeFromJson(j, back, err));
+    EXPECT_NE(err.find("run.instr[1]"), std::string::npos) << err;
+}
+
+// ---------------------------------------------------------------
+// Golden bytes. Every test above checks that specio agrees with
+// itself; these pin the canonical bytes against a checked-in table
+// (specio_golden.inc), so a rewrite that reorders, renames or drops a
+// field fails here even when it round-trips. Those bytes are the
+// result-cache key and the shard owner of every served row:
+// regenerating the table is a cache-key break, never a routine fix.
+// On a mismatch the test writes the table the current code would
+// pin to ./specio_golden.inc.new (the test's working directory).
+// ---------------------------------------------------------------
+
+struct GoldenPin
+{
+    const char *group;
+    const char *name;
+    std::uint64_t hash;
+};
+
+const GoldenPin kGoldenPins[] = {
+#include "specio_golden.inc"
+};
+
+struct Pin
+{
+    std::string group;
+    std::string name;
+    std::uint64_t hash;
+};
+
+/** A synthetic outcome with every field off zero (the canonical
+ *  form, not a simulator, is under test). */
+RunOutcome
+goldenOutcome(bool sampled)
+{
+    RunOutcome o;
+    o.run.cycles = 123456789012ull;
+    for (std::size_t i = 0; i < o.run.instr.size(); ++i)
+        o.run.instr[i] = 1000003ull * (i + 1);
+    o.run.ticks = 77;
+    o.run.dataRefs = 4242;
+    o.run.syscalls = 9;
+    o.run.forks = 2;
+    o.run.faults = 31;
+    o.run.dmaFlushes = 5;
+    o.run.tasksCreated = 4;
+    o.rawMisses = 1.0 / 3.0;
+    o.estMisses = 16.0 / 3.0;
+    for (std::size_t i = 0; i < o.missesByComp.size(); ++i)
+        o.missesByComp[i] = 0.125 * static_cast<double>(i) + 0.1;
+    o.maskedTrapRefs = 6;
+    o.lostMaskedMisses = 1;
+    o.hostSeconds = 2.5; // excluded from the canonical text
+    o.slowdown = 1.0e-7 + 3.0;
+    o.normalCycles = std::numeric_limits<std::uint64_t>::max();
+    if (sampled) {
+        o.sample.used = true;
+        o.sample.intervalsTotal = 61;
+        o.sample.intervalsSimulated = 18;
+        o.sample.refsSimulated = 294912;
+        o.sample.refsTotal = 1000000;
+        o.sample.ciHalfWidth = 12.5;
+    }
+    return o;
+}
+
+std::vector<Pin>
+currentPins()
+{
+    // Grids read these knobs; the pins are of the default grids.
+    for (const char *knob : {"TW_COST_BACKEND", "TW_FIG2_ONLY_KB",
+                             "TW_FIG2_DCACHE", "TW_SAMPLE"})
+        ::unsetenv(knob);
+
+    std::vector<Pin> pins;
+    auto &registry = ExperimentRegistry::instance();
+    for (const std::string &name : registry.names()) {
+        for (const ExperimentUnit &unit :
+             registry.find(name)->grid(2000))
+            pins.push_back(
+                {name, unit.id, fnv1a64(formatRunSpec(unit.spec))});
+    }
+
+    RunSpec dram = sampleSpec();
+    dram.tw.costBackend.kind = CostBackendKind::Dram;
+    dram.tw.costBackend.dram.tRCD = 15;
+    dram.tw.costBackend.dram.banksPerRank = 16;
+    dram.tw.costBackend.dram.tREFI = 0;
+    dram.tlb.costBackend.kind = CostBackendKind::Dram;
+    dram.tlb.costBackend.dram.walkReads = 3;
+
+    RunSpec sampled = sampleSpec();
+    sampled.sample.enabled = true;
+    sampled.sample.intervalRefs = 4096;
+    sampled.sample.warmupRefs = 128;
+    sampled.sample.clusters = 12;
+    sampled.sample.perCluster = 3;
+    sampled.sample.seed = 0xabcdef;
+    sampled.sample.ciRelFloor = 0.015;
+
+    pins.push_back(
+        {"@spec", "contorted", fnv1a64(formatRunSpec(contortedSpec()))});
+    pins.push_back({"@spec", "dram", fnv1a64(formatRunSpec(dram))});
+    pins.push_back({"@spec", "sampled", fnv1a64(formatRunSpec(sampled))});
+    pins.push_back({"@outcome", "unsampled",
+                    fnv1a64(formatRunOutcome(goldenOutcome(false)))});
+    pins.push_back({"@outcome", "sampled",
+                    fnv1a64(formatRunOutcome(goldenOutcome(true)))});
+    return pins;
+}
+
+void
+writeGoldenTable(const std::vector<Pin> &pins, const char *path)
+{
+    std::FILE *f = std::fopen(path, "w");
+    ASSERT_NE(f, nullptr) << path;
+    std::fprintf(f, "// fnv1a64 of canonical specio bytes, written by "
+                    "SpecIoGolden in\n// test_specio.cc. Replacing "
+                    "this table breaks every cache key.\n");
+    for (const Pin &p : pins)
+        std::fprintf(f, "{\"%s\", \"%s\", 0x%016llxull},\n",
+                     p.group.c_str(), p.name.c_str(),
+                     static_cast<unsigned long long>(p.hash));
+    std::fclose(f);
+}
+
+TEST(SpecIoGolden, CanonicalBytesMatchThePinnedTable)
+{
+    std::vector<Pin> pins = currentPins();
+    std::size_t pinned = sizeof(kGoldenPins) / sizeof(kGoldenPins[0]);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < std::max(pins.size(), pinned); ++i) {
+        if (i < pins.size() && i < pinned
+            && pins[i].group == kGoldenPins[i].group
+            && pins[i].name == kGoldenPins[i].name
+            && pins[i].hash == kGoldenPins[i].hash)
+            continue;
+        if (++mismatches <= 5) {
+            ADD_FAILURE()
+                << "pin " << i << ": "
+                << (i < pins.size()
+                        ? csprintf("%s/%s %016llx", pins[i].group.c_str(),
+                                   pins[i].name.c_str(),
+                                   static_cast<unsigned long long>(
+                                       pins[i].hash))
+                        : std::string("(none)"))
+                << " vs pinned "
+                << (i < pinned
+                        ? csprintf("%s/%s %016llx", kGoldenPins[i].group,
+                                   kGoldenPins[i].name,
+                                   static_cast<unsigned long long>(
+                                       kGoldenPins[i].hash))
+                        : std::string("(none)"));
+        }
+    }
+    EXPECT_EQ(mismatches, 0u)
+        << "canonical bytes changed for " << mismatches << " of "
+        << pins.size() << " pins; the current table is in "
+        << "./specio_golden.inc.new";
+    EXPECT_GT(pins.size(), 100u);
+    if (mismatches)
+        writeGoldenTable(pins, "specio_golden.inc.new");
 }
 
 } // namespace

@@ -379,6 +379,69 @@ TEST(Server, NegativeSeedOrDeadlineIsRejected)
     EXPECT_EQ(server.metrics().rowsComputed.value(), 0u);
 }
 
+TEST(Server, NonIntegerSpecFieldSeedOrDeadlineIsRejected)
+{
+    std::string path = freshSocketPath("strict");
+    Server server(baseConfig(path));
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+
+    int fd = serve::connectUnixSocket(path, &err);
+    ASSERT_GE(fd, 0) << err;
+    serve::LineReader reader(fd);
+    std::string line;
+
+    // An integer on the wire is a plain decimal that fits its field;
+    // anything else is bad_request with nothing computed, never a
+    // truncated or wrapped value naming a different experiment.
+    auto expectBad = [&](const Json &req, const char *what) {
+        ASSERT_TRUE(serve::sendJsonLine(fd, req));
+        ASSERT_EQ(reader.readLine(line),
+                  serve::LineReader::Status::Line);
+        Json resp;
+        ASSERT_TRUE(Json::parse(line, resp, nullptr)) << line;
+        EXPECT_EQ(resp.find("code")->asString(),
+                  serve::kErrBadRequest)
+            << what << ": " << line;
+        EXPECT_NE(resp.find("msg")->asString().find(what),
+                  std::string::npos)
+            << line;
+    };
+    std::string text = formatRunSpec(smallSpec());
+    auto withLine = [&](const char *lexeme) {
+        std::string t = text;
+        std::size_t at = t.find("\"lineBytes\":16,");
+        EXPECT_NE(at, std::string::npos);
+        return t.replace(at, 15, std::string("\"lineBytes\":") + lexeme
+                                     + ",");
+    };
+    auto submit = [&](const std::string &spec, Json seed) {
+        Json req = Json::object();
+        req.set("id", Json::number(1));
+        req.set("op", Json::str("submit"));
+        req.set("spec", Json::str(spec));
+        Json seeds = Json::array();
+        seeds.push(std::move(seed));
+        req.set("seeds", std::move(seeds));
+        return req;
+    };
+    Json seven = Json::number(std::uint64_t{7});
+    expectBad(submit(withLine("16.9"), seven), "lineBytes");
+    expectBad(submit(withLine("4294967312"), seven), "lineBytes");
+    expectBad(submit(withLine("-16"), seven), "lineBytes");
+    expectBad(submit(text, Json::numberLexeme("1.5")), "seeds");
+    expectBad(submit(text, Json::numberLexeme("7e0")), "seeds");
+    Json req = submit(text, seven);
+    req.set("deadline_ms", Json::numberLexeme("2.5"));
+    expectBad(req, "deadline_ms");
+    // Past ~31 years, now() + deadline would overflow the clock.
+    req.set("deadline_ms", Json::numberLexeme("18446744073709551615"));
+    expectBad(req, "deadline_ms");
+    ::close(fd);
+    server.stop();
+    EXPECT_EQ(server.metrics().rowsComputed.value(), 0u);
+}
+
 TEST(Server, ClosedSessionsAreReapedWhileRunning)
 {
     std::string path = freshSocketPath("reap");

@@ -21,14 +21,17 @@
  */
 
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "base/env.hh"
+#include "harness/cli_spec.hh"
 #include "harness/experiment.hh"
 #include "harness/specio.hh"
 #include "serve/client.hh"
@@ -110,20 +113,6 @@ usage()
         "exit status: 0 ok; 1 usage/transport; 2 server rejected "
         "(the\ncode — e.g. 'overloaded' — is printed to "
         "stderr).\n");
-}
-
-std::uint64_t
-parseSize(const std::string &text)
-{
-    char *end = nullptr;
-    double v = std::strtod(text.c_str(), &end);
-    if (end && (*end == 'K' || *end == 'k'))
-        v *= 1024;
-    else if (end && (*end == 'M' || *end == 'm'))
-        v *= 1024 * 1024;
-    if (v < 64)
-        fatal("unparseable size '%s'", text.c_str());
-    return static_cast<std::uint64_t>(v);
 }
 
 struct SweepArgs
@@ -250,18 +239,8 @@ main(int argc, char **argv)
     std::string poolList;
     unsigned poolVnodes = 0;
 
-    std::string workload = "mpeg_play";
-    std::uint64_t cacheBytes = 4096, tlbPage = 4096;
-    unsigned line = 16, assoc = 1, sample = 1, trials = 1;
-    unsigned tlbEntries = 64;
-    std::uint64_t seed = 1;
-    unsigned scale = envScaleDiv(200);
-    bool scaleSet = false;
+    SweepFlags flags;
     std::string experiment;
-    Indexing indexing = Indexing::Physical;
-    std::string policy, sim = "tapeworm", kind = "instruction",
-                scope = "all";
-    CostBackendConfig costBackend;
     SweepArgs sweep;
     std::string seedList;
 
@@ -283,60 +262,19 @@ main(int argc, char **argv)
             if (colon == std::string::npos)
                 fatal("--tcp wants HOST:PORT");
             tcpHost = hp.substr(0, colon);
-            tcpPort = std::atoi(hp.c_str() + colon + 1);
-        } else if (arg == "--workload") {
-            workload = value();
-        } else if (arg == "--cache") {
-            cacheBytes = parseSize(value());
-        } else if (arg == "--line") {
-            line = static_cast<unsigned>(std::atoi(value().c_str()));
-        } else if (arg == "--assoc") {
-            assoc = static_cast<unsigned>(std::atoi(value().c_str()));
-        } else if (arg == "--indexing") {
-            std::string v = value();
-            if (v == "virtual")
-                indexing = Indexing::Virtual;
-            else if (v == "physical")
-                indexing = Indexing::Physical;
-            else
-                fatal("bad indexing '%s'", v.c_str());
-        } else if (arg == "--policy") {
-            policy = value();
-        } else if (arg == "--sim") {
-            sim = value();
-        } else if (arg == "--kind") {
-            kind = value();
-        } else if (arg == "--scope") {
-            scope = value();
-        } else if (arg == "--sample") {
-            sample = static_cast<unsigned>(std::atoi(value().c_str()));
-        } else if (arg == "--cost-backend") {
-            std::string v = value(), err;
-            if (!parseCostBackendSpec(v, costBackend, err))
-                fatal("--cost-backend: %s", err.c_str());
-        } else if (arg == "--tlb-entries") {
-            tlbEntries =
-                static_cast<unsigned>(std::atoi(value().c_str()));
-        } else if (arg == "--tlb-page") {
-            tlbPage = parseSize(value());
-        } else if (arg == "--scale") {
-            scale = static_cast<unsigned>(std::atoi(value().c_str()));
-            scaleSet = true;
+            tcpPort = static_cast<int>(
+                decimalKnob("--tcp port", hp.c_str() + colon + 1, 65535));
+        } else if (flags.take(argc, argv, i)) {
+            continue;
         } else if (arg == "--experiment") {
             experiment = value();
-        } else if (arg == "--trials") {
-            trials =
-                static_cast<unsigned>(std::atoi(value().c_str()));
-        } else if (arg == "--seed") {
-            seed = static_cast<std::uint64_t>(
-                std::atoll(value().c_str()));
         } else if (arg == "--seeds") {
             seedList = value();
         } else if (arg == "--no-slowdown") {
             sweep.slowdown = false;
         } else if (arg == "--deadline") {
-            sweep.deadlineMs = static_cast<std::uint64_t>(
-                std::atoll(value().c_str()));
+            sweep.deadlineMs =
+                decimalKnob("--deadline", value().c_str(), kMaxDeadlineMs);
         } else if (arg == "--canonical") {
             sweep.canonical = true;
         } else if (arg == "--path") {
@@ -346,16 +284,16 @@ main(int argc, char **argv)
         } else if (arg == "--require") {
             requireList = value();
         } else if (arg == "--retry") {
-            pingRetries =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            pingRetries = static_cast<unsigned>(
+                decimalKnob("--retry", value().c_str(), UINT_MAX));
         } else if (arg == "--retry-delay-ms") {
-            pingRetryDelayMs =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            pingRetryDelayMs = static_cast<unsigned>(decimalKnob(
+                "--retry-delay-ms", value().c_str(), UINT_MAX));
         } else if (arg == "--pool") {
             poolList = value();
         } else if (arg == "--vnodes") {
-            poolVnodes =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            poolVnodes = static_cast<unsigned>(
+                decimalKnob("--vnodes", value().c_str(), UINT_MAX));
         } else if (!arg.empty() && arg[0] == '-') {
             usage();
             fatal("unknown option '%s'", arg.c_str());
@@ -373,77 +311,26 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // ---- Build the spec (mirrors twsim) ---------------------------
-    RunSpec &spec = sweep.spec;
-    spec.workload = makeWorkload(workload, scale);
-    spec.tw.cache =
-        CacheConfig::icache(cacheBytes, line, assoc, indexing);
-    if (policy == "fifo")
-        spec.tw.cache.policy = ReplPolicy::FIFO;
-    else if (policy == "random")
-        spec.tw.cache.policy = ReplPolicy::Random;
-    else if (policy == "lru")
-        spec.tw.cache.policy = ReplPolicy::LRU;
-    else if (!policy.empty())
-        fatal("bad policy '%s'", policy.c_str());
-    if (kind == "data")
-        spec.tw.kind = SimCacheKind::Data;
-    else if (kind == "unified")
-        spec.tw.kind = SimCacheKind::Unified;
-    else if (kind != "instruction")
-        fatal("bad kind '%s'", kind.c_str());
-    if (sim == "tapeworm") {
-        spec.sim = SimKind::Tapeworm;
-        if (spec.tw.cache.assoc > 1
-            && spec.tw.cache.policy == ReplPolicy::LRU) {
-            warn("trap-driven simulation cannot do LRU; using FIFO");
-            spec.tw.cache.policy = ReplPolicy::FIFO;
-        }
-    } else if (sim == "trace") {
-        spec.sim = SimKind::TraceDriven;
-        spec.c2k.cache = spec.tw.cache;
-        spec.c2k.cache.indexing = Indexing::Virtual;
-        spec.c2k.sampleNum = 1;
-        spec.c2k.sampleDenom = sample;
-    } else if (sim == "tlb") {
-        spec.sim = SimKind::TapewormTlbSim;
-        spec.tlb.tlb = CacheConfig::tlb(
-            tlbEntries, 0, static_cast<std::uint32_t>(tlbPage));
-    } else if (sim == "oracle") {
-        spec.sim = SimKind::Oracle;
-    } else {
-        fatal("bad sim '%s'", sim.c_str());
-    }
-    spec.tw.sampleNum = 1;
-    spec.tw.sampleDenom = sample;
-    spec.tw.costBackend = costBackend;
-    spec.tlb.costBackend = costBackend;
-    if (scope == "all")
-        spec.sys.scope = SimScope::all();
-    else if (scope == "user")
-        spec.sys.scope = SimScope::userOnly();
-    else if (scope == "servers")
-        spec.sys.scope = SimScope::serversOnly();
-    else if (scope == "kernel")
-        spec.sys.scope = SimScope::kernelOnly();
-    else
-        fatal("bad scope '%s'", scope.c_str());
+    sweep.spec = flags.spec();
+    const RunSpec &spec = sweep.spec;
 
     // ---- Seed list ------------------------------------------------
     if (!seedList.empty()) {
-        const char *p = seedList.c_str();
-        while (*p) {
-            char *end = nullptr;
-            sweep.seeds.push_back(std::strtoull(p, &end, 10));
-            if (end == p)
-                fatal("bad --seeds list '%s'", seedList.c_str());
-            p = (*end == ',') ? end + 1 : end;
+        std::size_t pos = 0;
+        while (pos <= seedList.size()) {
+            std::size_t comma = seedList.find(',', pos);
+            if (comma == std::string::npos)
+                comma = seedList.size();
+            std::string one = seedList.substr(pos, comma - pos);
+            sweep.seeds.push_back(
+                decimalKnob("--seeds", one.c_str(), UINT64_MAX));
+            pos = comma + 1;
         }
     } else {
         // Exactly runTrials()'s derivation: trial t gets
         // mixSeed(base, 1000 + t).
-        for (unsigned t = 0; t < trials; ++t)
-            sweep.seeds.push_back(mixSeed(seed, 1000 + t));
+        for (unsigned t = 0; t < flags.trials; ++t)
+            sweep.seeds.push_back(mixSeed(flags.seed, 1000 + t));
     }
 
     // ---- Registry experiments -------------------------------------
@@ -462,7 +349,7 @@ main(int argc, char **argv)
                   "shows the registry)",
                   experiment.c_str());
         unsigned expScale =
-            experimentScale(*def, scaleSet ? scale : 0);
+            experimentScale(*def, flags.scaleSet ? flags.scale : 0);
         if (command == "local") {
             for (const ExperimentJob &job :
                  experimentJobs(*def, expScale)) {
@@ -492,7 +379,7 @@ main(int argc, char **argv)
         if (!connected)
             fatal("connect: %s", err.c_str());
         ExperimentResult result = client.runExperiment(
-            def->name, scaleSet ? scale : expScale);
+            def->name, flags.scaleSet ? flags.scale : expScale);
         if (!result.ok) {
             if (!result.errorCode.empty()) {
                 std::fprintf(stderr, "rejected: %s (%s)\n",
