@@ -11,12 +11,14 @@
  * any flag it does not understand.
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 
+#include "base/env.hh"
 #include "base/logging.hh"
 #include "base/simd.hh"
 #include "base/thread_pool.hh"
@@ -105,14 +107,14 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--run") == 0) {
             run_name = value(i, "--run");
         } else if (std::strcmp(arg, "--threads") == 0) {
-            setDefaultThreads(static_cast<unsigned>(
-                std::atoi(value(i, "--threads"))));
+            setDefaultThreads(static_cast<unsigned>(decimalKnob(
+                "--threads", value(i, "--threads"), UINT_MAX)));
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            setDefaultThreads(
-                static_cast<unsigned>(std::atoi(arg + 10)));
+            setDefaultThreads(static_cast<unsigned>(
+                decimalKnob("--threads", arg + 10, UINT_MAX)));
         } else if (std::strcmp(arg, "--scale") == 0) {
             scale_override = static_cast<unsigned>(
-                std::atoi(value(i, "--scale")));
+                decimalKnob("--scale", value(i, "--scale"), UINT_MAX));
         } else if (std::strcmp(arg, "--report") == 0) {
             report = true;
         } else if (std::strcmp(arg, "--rows") == 0) {

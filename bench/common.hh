@@ -14,6 +14,7 @@
 #define TW_BENCH_COMMON_HH
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/env.hh"
 #include "base/table.hh"
 #include "base/thread_pool.hh"
 #include "harness/experiment.hh"
@@ -44,13 +46,14 @@ initBench(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc) {
-            setDefaultThreads(
-                static_cast<unsigned>(std::atoi(argv[++i])));
-        } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            setDefaultThreads(
-                static_cast<unsigned>(std::atoi(arg + 10)));
-        }
+        const char *n = nullptr;
+        if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc)
+            n = argv[++i];
+        else if (std::strncmp(arg, "--threads=", 10) == 0)
+            n = arg + 10;
+        if (n)
+            setDefaultThreads(static_cast<unsigned>(
+                decimalKnob("--threads", n, UINT_MAX)));
     }
 }
 

@@ -18,12 +18,18 @@ set -e
 
 cd "$(dirname "$0")/.."
 BUILD=${BUILD:-build}
-GOLDEN=scripts/golden
+GOLDEN="$PWD/scripts/golden"
 
 if [ ! -d "$BUILD/bench" ]; then
     echo "migration_diff: $BUILD/bench missing (build first)" >&2
     exit 1
 fi
+DRIVER="$(cd "$BUILD/bench" && pwd)/bench_driver"
+
+# --report writes BENCH_<name>.json into the working directory: run
+# in a scratch one so the checkout stays clean.
+WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
 
 EXPERIMENTS="$*"
 [ -z "$EXPERIMENTS" ] && EXPERIMENTS="fig2 table7 table8 table9"
@@ -43,10 +49,9 @@ for exp in $EXPERIMENTS; do
         fail=1
         continue
     fi
-    out=$(mktemp)
-    TW_SCALE_DIV=2000 TW_THREADS=2 \
-        "$BUILD/bench/bench_driver" --run "$exp" --report \
-        | mask > "$out"
+    out="$WORK/$exp.out"
+    (cd "$WORK" && TW_SCALE_DIV=2000 TW_THREADS=2 \
+        "$DRIVER" --run "$exp" --report) | mask > "$out"
     if diff -u "$golden" "$out" > /dev/null 2>&1; then
         echo "migration_diff: $exp OK"
     else
@@ -54,6 +59,5 @@ for exp in $EXPERIMENTS; do
         diff -u "$golden" "$out" | head -40 >&2
         fail=1
     fi
-    rm -f "$out"
 done
 exit $fail

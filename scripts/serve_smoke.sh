@@ -1,7 +1,9 @@
 #!/bin/sh
 # End-to-end smoke of the twserved experiment service.
 #
-# Starts a daemon on a temp socket, submits the fig2 1K and 32K
+# First checks that malformed numeric flags of twserved and
+# bench_driver are fatal before anything binds. Then starts a daemon
+# on a temp socket, submits the fig2 1K and 32K
 # rows through twctl, and diffs each served sweep bit-for-bit
 # against the same spec computed in-process (twctl local, which
 # calls Runner::runWithSlowdown directly). Then resubmits and
@@ -40,6 +42,32 @@ fail() {
     echo "serve_smoke: FAIL — $1" >&2
     exit 1
 }
+
+# ---- Malformed numeric flags are fatal before anything binds -----
+# Every form below fails to parse, so none starts a thread. A form
+# that parsed would leave a daemon running: the timeout turns that
+# into exit 124, not the fatal exit 1 required here.
+BAD="/tmp/twserved-smoke-bad-$$.sock"
+for form in "--workers -1" "--workers abc" "--workers 4x" \
+            "--tcp 0" "--tcp 65536" "--tcp 7x" "--queue 1.5" \
+            "--cache 16k" "--baseline-cap -4" "--send-timeout 1e3" \
+            "--vnodes x" "--health-interval +5"; do
+    rc=0
+    # shellcheck disable=SC2086  # $form is a flag and its value
+    timeout 10 "$SERVED" --socket "$BAD" $form --quiet \
+        > /dev/null 2> "$T/bad.log" || rc=$?
+    [ "$rc" -eq 1 ] || fail "twserved $form exited $rc, want 1"
+    grep -q 'fatal' "$T/bad.log" || fail "twserved $form: no fatal line"
+    [ ! -e "$BAD" ] || fail "twserved $form bound $BAD"
+done
+for form in "--threads -1" "--threads=abc" "--scale 2k"; do
+    rc=0
+    # shellcheck disable=SC2086
+    timeout 10 "$BUILD/bench/bench_driver" $form --list \
+        > /dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 1 ] || fail "bench_driver $form exited $rc, want 1"
+done
+echo "serve_smoke: malformed numeric flags are fatal"
 
 # Queue of 4: big enough for the 3-trial sweeps below, small enough
 # to demonstrate admission control with an 8-seed sweep.

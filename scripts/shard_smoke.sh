@@ -5,6 +5,7 @@
 # (twserved --router --shards ...), then checks the distribution
 # contract from the outside:
 #
+#   0. malformed --shards / --pool members are fatal, binding nothing;
 #   1. a fig2 sweep through the router is bit-identical (rows AND
 #      order) to the same sweep computed in-process (twctl local);
 #   2. resubmitting is served entirely from the shard-local caches
@@ -54,6 +55,25 @@ fail() {
     echo "shard_smoke: FAIL — $1" >&2
     exit 1
 }
+
+# ---- 0. Malformed pool members are fatal before anything binds ---
+# Each form fails to parse (timeout: a router that started anyway
+# exits 124, not the fatal 1 required here).
+for shards in "$W0," "$W0,,$W1" "127.0.0.1" "127.0.0.1:7x" \
+              "127.0.0.1:0" "127.0.0.1:65536" "localhost:7733"; do
+    rc=0
+    timeout 10 "$SERVED" --router --shards "$shards" --socket "$RSOCK" \
+        --quiet > /dev/null 2> "$T/bad.log" || rc=$?
+    [ "$rc" -eq 1 ] || fail "router --shards '$shards' exited $rc, want 1"
+    grep -q 'fatal' "$T/bad.log" \
+        || fail "router --shards '$shards': no fatal line"
+    [ ! -e "$RSOCK" ] || fail "router --shards '$shards' bound $RSOCK"
+    rc=0
+    "$CTL" shard-owner --pool "$shards" --workload espresso \
+        > /dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 1 ] || fail "shard-owner --pool '$shards' exited $rc"
+done
+echo "shard_smoke: malformed pool members are fatal"
 
 "$SERVED" --socket "$W0" --workers 2 --queue 64 --quiet & P0=$!
 "$SERVED" --socket "$W1" --workers 2 --queue 64 --quiet & P1=$!

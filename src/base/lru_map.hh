@@ -23,7 +23,7 @@
 namespace tw
 {
 
-template <typename K, typename V>
+template <typename K, typename V, typename Hash = std::hash<K>>
 class LruMap
 {
   public:
@@ -118,7 +118,8 @@ class LruMap
 
     std::size_t capacity_;
     std::list<std::pair<K, V>> order_; //!< front = most recent
-    std::unordered_map<K, typename std::list<std::pair<K, V>>::iterator>
+    std::unordered_map<K, typename std::list<std::pair<K, V>>::iterator,
+                       Hash>
         index_;
     std::uint64_t evictions_ = 0;
 };

@@ -12,6 +12,7 @@
 #include "base/logging.hh"
 #include "base/lru_map.hh"
 #include "harness/oracle.hh"
+#include "harness/specio.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sample/interval_sim.hh"
@@ -51,31 +52,84 @@ std::mutex baselinesMutex;
 std::uint64_t baselineHits = 0;
 std::uint64_t baselineMisses = 0;
 
-LruMap<std::string, std::shared_ptr<BaselineEntry>> &
+/**
+ * The baseline memo, keyed by the machine a baseline runs (specio's
+ * baselineText: every field of the workload and the system) and the
+ * trial seed. Machine texts are interned, so the entries of one
+ * machine's seeds share one copy of its few KB, and the copy goes
+ * with the last of them. Guarded by baselinesMutex, which is also
+ * held wherever a Machine pointer is copied or dropped.
+ */
+struct BaselineMemo
+{
+    using Machine = std::shared_ptr<const std::string>;
+
+    struct Key
+    {
+        Machine machine;
+        std::uint64_t seed = 0;
+        bool operator==(const Key &) const = default;
+    };
+
+    struct KeyHash
+    {
+        std::size_t
+        operator()(const Key &k) const
+        {
+            return std::hash<const void *>()(k.machine.get())
+                   ^ std::hash<std::uint64_t>()(k.seed);
+        }
+    };
+
+    /** The one pointer to @p text: equal texts, equal pointers. */
+    Machine
+    intern(std::string text)
+    {
+        auto it = machines.try_emplace(std::move(text)).first;
+        Machine m = it->second.lock();
+        if (!m) {
+            m = Machine(&it->first, [this](const std::string *t) {
+                machines.erase(machines.find(*t));
+            });
+            it->second = m;
+        }
+        return m;
+    }
+
+    // Declared first, destroyed last: dropping `entries` erases
+    // from it.
+    std::unordered_map<std::string, std::weak_ptr<const std::string>>
+        machines;
+    LruMap<Key, std::shared_ptr<BaselineEntry>, KeyHash> entries{
+        envBaselineCap()};
+};
+
+BaselineMemo &
 baselines()
 {
-    static LruMap<std::string, std::shared_ptr<BaselineEntry>> map(
-        envBaselineCap());
-    return map;
+    static BaselineMemo memo;
+    return memo;
 }
 
 std::shared_ptr<BaselineEntry>
-baselineEntry(const std::string &key)
+baselineEntry(const RunSpec &spec, std::uint64_t trial_seed)
 {
     static obs::Counter obsHits =
         obs::registry().counter("engine.baseline.hits");
     static obs::Counter obsMisses =
         obs::registry().counter("engine.baseline.misses");
+    std::string machine = baselineText(spec);
     std::lock_guard<std::mutex> lock(baselinesMutex);
-    auto &map = baselines();
-    if (std::shared_ptr<BaselineEntry> *entry = map.find(key)) {
+    BaselineMemo &memo = baselines();
+    BaselineMemo::Key key{memo.intern(std::move(machine)), trial_seed};
+    if (std::shared_ptr<BaselineEntry> *entry = memo.entries.find(key)) {
         ++baselineHits;
         obsHits.inc();
         return *entry;
     }
     ++baselineMisses;
     obsMisses.inc();
-    return map.insert(key, std::make_shared<BaselineEntry>());
+    return memo.entries.insert(key, std::make_shared<BaselineEntry>());
 }
 
 double
@@ -88,28 +142,6 @@ hostNow()
 }
 
 } // anonymous namespace
-
-std::string
-Runner::baselineKey(const RunSpec &spec, std::uint64_t trial_seed)
-{
-    const SystemConfig &s = spec.sys;
-    return csprintf(
-        "%s|%llu|%llu|%u|%llu|%d|%llu|%llu|%u|%llu|%llu|%d%d%d|%d|%llu",
-        spec.workload.name.c_str(),
-        static_cast<unsigned long long>(spec.workload.totalInstr),
-        static_cast<unsigned long long>(s.physMemBytes), s.cpiBase,
-        static_cast<unsigned long long>(s.clockInterval),
-        static_cast<int>(s.clockJitter),
-        static_cast<unsigned long long>(s.tickHandlerInstr),
-        static_cast<unsigned long long>(s.quantumInstr),
-        s.dmaFlushPeriod,
-        static_cast<unsigned long long>(s.forkKernelInstr),
-        static_cast<unsigned long long>(s.faultKernelCycles),
-        static_cast<int>(s.scope.user), static_cast<int>(s.scope.servers),
-        static_cast<int>(s.scope.kernel),
-        static_cast<int>(s.allocPolicy),
-        static_cast<unsigned long long>(trial_seed));
-}
 
 namespace
 {
@@ -389,7 +421,7 @@ RunOutcome
 Runner::runWithSlowdown(const RunSpec &spec, std::uint64_t trial_seed)
 {
     std::shared_ptr<BaselineEntry> entry =
-        baselineEntry(baselineKey(spec, trial_seed));
+        baselineEntry(spec, trial_seed);
     std::call_once(entry->once, [&] {
         obs::ScopedSpan span("baseline", "harness");
         RunSpec normal = spec;
@@ -411,7 +443,7 @@ void
 Runner::clearBaselineCache()
 {
     std::lock_guard<std::mutex> lock(baselinesMutex);
-    baselines().clear();
+    baselines().entries.clear();
     baselineHits = 0;
     baselineMisses = 0;
 }
@@ -420,7 +452,7 @@ void
 Runner::setBaselineCacheCapacity(std::size_t entries)
 {
     std::lock_guard<std::mutex> lock(baselinesMutex);
-    baselines().setCapacity(entries);
+    baselines().entries.setCapacity(entries);
 }
 
 BaselineCacheStats
@@ -428,11 +460,11 @@ Runner::baselineCacheStats()
 {
     std::lock_guard<std::mutex> lock(baselinesMutex);
     BaselineCacheStats s;
-    s.size = baselines().size();
-    s.capacity = baselines().capacity();
+    s.size = baselines().entries.size();
+    s.capacity = baselines().entries.capacity();
     s.hits = baselineHits;
     s.misses = baselineMisses;
-    s.evictions = baselines().evictions();
+    s.evictions = baselines().entries.evictions();
     return s;
 }
 

@@ -177,12 +177,14 @@ struct BaselineCacheStats
  * Stateless run executor (normal-run memoization is internal).
  *
  * Thread-safe: concurrent trials may call runOne/runWithSlowdown
- * freely. The baseline memo is an LRU map guarded by a mutex; each
- * key is computed exactly once per residency (concurrent requests
- * for the same spec+seed wait for the first computation instead of
+ * freely. The baseline memo is an LRU map guarded by a mutex, keyed
+ * by the whole machine a baseline runs (specio's baselineText: every
+ * workload and system field) and the trial seed; each key is
+ * computed exactly once per residency (concurrent requests for the
+ * same machine+seed wait for the first computation instead of
  * redoing it). The memo is BOUNDED — a long-lived daemon reruns an
  * evicted baseline (bit-identically, since baselines are pure
- * functions of spec+seed) instead of leaking memory.
+ * functions of machine+seed) instead of leaking memory.
  */
 class Runner
 {
@@ -216,15 +218,12 @@ class Runner
      * Cap the baseline memo at @p entries (>= 1). The default,
      * overridable via TW_BASELINE_CAP, is 4096 — comfortably above
      * any bench sweep (a sweep shares one baseline per trial seed)
-     * while bounding a resident daemon to a few hundred KB of memo.
+     * while bounding a resident daemon to a few hundred KB of memo,
+     * plus one copy of each resident machine's text.
      */
     static void setBaselineCacheCapacity(std::size_t entries);
 
     static BaselineCacheStats baselineCacheStats();
-
-  private:
-    static std::string baselineKey(const RunSpec &spec,
-                                   std::uint64_t trial_seed);
 };
 
 } // namespace tw

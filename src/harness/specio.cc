@@ -593,6 +593,13 @@ readDocument(const Json &j, const char *what, T &out, std::string &err)
     return st.ok;
 }
 
+/** The "#seed#flag" tail of a cache key. */
+std::string
+keySuffix(std::uint64_t trial_seed, bool with_slowdown)
+{
+    return "#" + std::to_string(trial_seed) + (with_slowdown ? "#1" : "#0");
+}
+
 } // anonymous namespace
 
 const char *
@@ -665,9 +672,8 @@ parseRunOutcome(const std::string &text, RunOutcome &out,
 }
 
 std::uint64_t
-fnv1a64(std::string_view bytes)
+fnv1a64(std::string_view bytes, std::uint64_t h)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
     for (unsigned char c : bytes) {
         h ^= c;
         h *= 0x100000001b3ull;
@@ -676,31 +682,55 @@ fnv1a64(std::string_view bytes)
 }
 
 std::string
-cacheKey(const RunSpec &spec, std::uint64_t trial_seed,
-         bool with_slowdown)
+keyText(const RunSpec &spec)
 {
     // Runner::runOne overwrites sys.trialSeed with the per-trial
     // seed, so normalize it out of the key (see specio.hh).
-    std::string text;
-    if (spec.sys.trialSeed == 0) {
-        text = formatRunSpec(spec);
-    } else {
-        RunSpec normal = spec;
-        normal.sys.trialSeed = 0;
-        text = formatRunSpec(normal);
-    }
-    text += '#';
-    text += std::to_string(trial_seed);
-    text += '#';
-    text += with_slowdown ? '1' : '0';
-    return text;
+    if (spec.sys.trialSeed == 0)
+        return formatRunSpec(spec);
+    RunSpec normal = spec;
+    normal.sys.trialSeed = 0;
+    return formatRunSpec(normal);
+}
+
+std::string
+cacheKey(std::string_view key_text, std::uint64_t trial_seed,
+         bool with_slowdown)
+{
+    return std::string(key_text) + keySuffix(trial_seed, with_slowdown);
+}
+
+std::string
+cacheKey(const RunSpec &spec, std::uint64_t trial_seed,
+         bool with_slowdown)
+{
+    return cacheKey(keyText(spec), trial_seed, with_slowdown);
+}
+
+std::uint64_t
+specFingerprint(std::string_view key_text, std::uint64_t trial_seed,
+                bool with_slowdown)
+{
+    return fnv1a64(keySuffix(trial_seed, with_slowdown),
+                   fnv1a64(key_text));
 }
 
 std::uint64_t
 specFingerprint(const RunSpec &spec, std::uint64_t trial_seed,
                 bool with_slowdown)
 {
-    return fnv1a64(cacheKey(spec, trial_seed, with_slowdown));
+    return specFingerprint(keyText(spec), trial_seed, with_slowdown);
+}
+
+std::string
+baselineText(const RunSpec &spec)
+{
+    SystemConfig sys = spec.sys;
+    sys.trialSeed = 0;
+    Json j = Json::object();
+    j.set("workload", toJson(spec.workload));
+    j.set("sys", toJson(sys));
+    return j.dump();
 }
 
 } // namespace tw

@@ -37,7 +37,7 @@
  *    the deterministic outcome, and including it would break the
  *    bit-for-bit served-vs-direct comparison the smoke test makes.
  *    The wire protocol carries it as a separate field;
- *  - cacheKey() normalizes sys.trialSeed to 0 before rendering:
+ *  - keyText() normalizes sys.trialSeed to 0 before rendering:
  *    Runner overwrites it with the per-trial seed, so two specs
  *    differing only there are the same experiment.
  *
@@ -85,21 +85,42 @@ bool outcomeFromJson(const Json &j, RunOutcome &out, std::string &err);
 bool parseRunOutcome(const std::string &text, RunOutcome &out,
                      std::string &err);
 
-/** FNV-1a over @p bytes (the fingerprint hash). */
-std::uint64_t fnv1a64(std::string_view bytes);
+/** FNV-1a offset basis: the hash of no bytes. */
+inline constexpr std::uint64_t kFnv1a64Basis = 0xcbf29ce484222325ull;
+
+/** FNV-1a over @p bytes (the fingerprint hash), continuing from
+ *  @p h: fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b). */
+std::uint64_t fnv1a64(std::string_view bytes,
+                      std::uint64_t h = kFnv1a64Basis);
+
+/** The key text of @p spec: its canonical text with sys.trialSeed
+ *  normalized to 0. Render it once per spec; every trial's key and
+ *  fingerprint is this text plus a seed suffix. */
+std::string keyText(const RunSpec &spec);
 
 /**
- * The result-cache key of one trial: canonical spec text (with
- * sys.trialSeed normalized to 0) + '#' + trial seed + '#' +
- * slowdown flag.
+ * The result-cache key of one trial: key text + '#' + trial seed +
+ * '#' + slowdown flag.
  */
+std::string cacheKey(std::string_view key_text, std::uint64_t trial_seed,
+                     bool with_slowdown);
 std::string cacheKey(const RunSpec &spec, std::uint64_t trial_seed,
                      bool with_slowdown);
 
-/** 64-bit fingerprint of cacheKey() (logging, stats, sharding). */
+/** 64-bit fingerprint of cacheKey() (logging, stats, sharding),
+ *  hashed without building the key string. */
+std::uint64_t specFingerprint(std::string_view key_text,
+                              std::uint64_t trial_seed,
+                              bool with_slowdown);
 std::uint64_t specFingerprint(const RunSpec &spec,
                               std::uint64_t trial_seed,
                               bool with_slowdown);
+
+/** The canonical text of the machine a slowdown baseline runs:
+ *  spec.workload and spec.sys (sys.trialSeed normalized to 0).
+ *  Every field of both lists is in it, so two specs with the same
+ *  text and trial seed have the same uninstrumented run. */
+std::string baselineText(const RunSpec &spec);
 
 /** Name <-> enum helpers shared with the CLI tools. */
 const char *simKindName(SimKind k);

@@ -1,6 +1,8 @@
 #include "serve/client.hh"
 
 #include <algorithm>
+#include <climits>
+#include <type_traits>
 #include <unistd.h>
 
 #include "harness/specio.hh"
@@ -60,22 +62,119 @@ Client::disconnect()
     }
 }
 
+bool
+Client::send(Json &req, std::uint64_t &id, std::string &err)
+{
+    if (fd_ < 0) {
+        err = "not connected";
+        return false;
+    }
+    id = nextId_++;
+    req.set("id", Json::number(id));
+    if (!sendJsonLine(fd_, req)) {
+        err = "send failed";
+        return false;
+    }
+    return true;
+}
+
+bool
+Client::nextFrame(std::uint64_t id, Json &frame, std::string &ev,
+                  std::string &err)
+{
+    std::string line;
+    while (true) {
+        if (reader_.readLine(line) != LineReader::Status::Line) {
+            err = "connection closed mid-response";
+            return false;
+        }
+        std::string perr;
+        if (!Json::parse(line, frame, &perr) || !frame.isObject()) {
+            err = "bad frame from server: " + perr;
+            return false;
+        }
+        std::uint64_t fid = 0;
+        const Json *idj = frame.find("id");
+        if (!idj || !idj->toUnsigned(UINT64_MAX, fid) || fid != id)
+            continue; // a frame for some other request id
+        const Json *evj = frame.find("ev");
+        ev = evj ? evj->asString() : "";
+        return true;
+    }
+}
+
+template <typename Row>
+void
+Client::stream(Json req, StreamResult<Row> &result,
+               const std::function<void(const Row &)> &on_row)
+{
+    std::uint64_t id = 0;
+    Json frame;
+    std::string ev;
+    if (!send(req, id, result.errorMsg))
+        return;
+    while (nextFrame(id, frame, ev, result.errorMsg)) {
+        if (ev == "row") {
+            Row row;
+            if (const Json *j = frame.find("trial"))
+                row.trial = j->asU64();
+            if (const Json *j = frame.find("seed"))
+                row.seed = j->asU64();
+            if (const Json *j = frame.find("cached"))
+                row.cached = j->asBool();
+            if (const Json *j = frame.find("host_s"))
+                row.hostSeconds = j->asDouble();
+            if constexpr (std::is_same_v<Row, ServedExperimentRow>) {
+                if (const Json *j = frame.find("unit"))
+                    row.unit = j->asString();
+                if (const Json *j = frame.find("seq"))
+                    row.seq = j->asU64();
+            }
+            if (frame.find("error")) {
+                row.expired = true;
+            } else if (const Json *j = frame.find("outcome")) {
+                std::string oerr;
+                if (!outcomeFromJson(*j, row.outcome, oerr)) {
+                    result.errorMsg = "bad outcome row: " + oerr;
+                    return;
+                }
+                // hostSeconds travels outside the canonical text.
+                row.outcome.hostSeconds = row.hostSeconds;
+            }
+            if (on_row)
+                on_row(row);
+            result.rows.push_back(std::move(row));
+        } else if (ev == "done") {
+            if (const Json *j = frame.find("cached"))
+                result.cached = j->asU64();
+            if (const Json *j = frame.find("computed"))
+                result.computed = j->asU64();
+            if (const Json *j = frame.find("expired"))
+                result.expired = j->asU64();
+            result.ok = true;
+            return;
+        } else if (ev == "error") {
+            if (const Json *j = frame.find("code"))
+                result.errorCode = j->asString();
+            if (const Json *j = frame.find("msg"))
+                result.errorMsg = j->asString();
+            return;
+        } else {
+            // Unknown event for our id: protocol error.
+            result.errorMsg = "unexpected event '" + ev + "'";
+            return;
+        }
+    }
+}
+
 SweepResult
 Client::submitSweep(
     const RunSpec &spec, const std::vector<std::uint64_t> &seeds,
     bool with_slowdown, std::optional<std::uint64_t> deadline_ms,
     const std::function<void(const SweepRow &)> &on_row)
 {
-    SweepResult result;
-    if (fd_ < 0) {
-        result.errorMsg = "not connected";
-        return result;
-    }
-    std::uint64_t id = nextId_++;
-
     Json req = Json::object();
     req.set("op", Json::str("submit"));
-    req.set("id", Json::number(id));
     // Ship the spec as canonical text: the server parses it back
     // with the same strict reader, so what was submitted is exactly
     // what is fingerprinted.
@@ -87,175 +186,29 @@ Client::submitSweep(
     req.set("slowdown", Json::boolean(with_slowdown));
     if (deadline_ms)
         req.set("deadline_ms", Json::number(*deadline_ms));
-    if (!sendJsonLine(fd_, req)) {
-        result.errorMsg = "send failed";
-        return result;
-    }
-
-    std::string line;
-    while (true) {
-        LineReader::Status st = reader_.readLine(line);
-        if (st != LineReader::Status::Line) {
-            result.errorMsg = "connection closed mid-response";
-            return result;
-        }
-        Json frame;
-        std::string perr;
-        if (!Json::parse(line, frame, &perr) || !frame.isObject()) {
-            result.errorMsg = "bad frame from server: " + perr;
-            return result;
-        }
-        const Json *idj = frame.find("id");
-        if (!idj || idj->asU64() != id)
-            continue; // a frame for some other request id
-        const Json *evj = frame.find("ev");
-        const std::string &ev = evj ? evj->asString() : "";
-
-        if (ev == "row") {
-            SweepRow row;
-            if (const Json *j = frame.find("trial"))
-                row.trial = j->asU64();
-            if (const Json *j = frame.find("seed"))
-                row.seed = j->asU64();
-            if (const Json *j = frame.find("cached"))
-                row.cached = j->asBool();
-            if (const Json *j = frame.find("host_s"))
-                row.hostSeconds = j->asDouble();
-            if (frame.find("error")) {
-                row.expired = true;
-            } else if (const Json *j = frame.find("outcome")) {
-                std::string oerr;
-                if (!outcomeFromJson(*j, row.outcome, oerr)) {
-                    result.errorMsg = "bad outcome row: " + oerr;
-                    return result;
-                }
-                // hostSeconds travels outside the canonical text.
-                row.outcome.hostSeconds = row.hostSeconds;
-            }
-            if (on_row)
-                on_row(row);
-            result.rows.push_back(std::move(row));
-            continue;
-        }
-        if (ev == "done") {
-            if (const Json *j = frame.find("cached"))
-                result.cached = j->asU64();
-            if (const Json *j = frame.find("computed"))
-                result.computed = j->asU64();
-            if (const Json *j = frame.find("expired"))
-                result.expired = j->asU64();
-            result.ok = true;
-            return result;
-        }
-        if (ev == "error") {
-            if (const Json *j = frame.find("code"))
-                result.errorCode = j->asString();
-            if (const Json *j = frame.find("msg"))
-                result.errorMsg = j->asString();
-            return result;
-        }
-        // Unknown event for our id: protocol error.
-        result.errorMsg = "unexpected event '" + ev + "'";
-        return result;
-    }
+    SweepResult result;
+    stream(std::move(req), result, on_row);
+    return result;
 }
 
 ExperimentResult
 Client::runExperiment(const std::string &name, unsigned scale_div)
 {
-    ExperimentResult result;
-    result.experiment = name;
-    if (fd_ < 0) {
-        result.errorMsg = "not connected";
-        return result;
-    }
-    std::uint64_t id = nextId_++;
-
     Json req = Json::object();
     req.set("op", Json::str("run_experiment"));
-    req.set("id", Json::number(id));
     req.set("experiment", Json::str(name));
     if (scale_div != 0)
         req.set("scale", Json::number(
                              static_cast<std::uint64_t>(scale_div)));
-    if (!sendJsonLine(fd_, req)) {
-        result.errorMsg = "send failed";
-        return result;
-    }
-
-    std::string line;
-    while (true) {
-        LineReader::Status st = reader_.readLine(line);
-        if (st != LineReader::Status::Line) {
-            result.errorMsg = "connection closed mid-response";
-            return result;
-        }
-        Json frame;
-        std::string perr;
-        if (!Json::parse(line, frame, &perr) || !frame.isObject()) {
-            result.errorMsg = "bad frame from server: " + perr;
-            return result;
-        }
-        const Json *idj = frame.find("id");
-        if (!idj || idj->asU64() != id)
-            continue;
-        const Json *evj = frame.find("ev");
-        const std::string &ev = evj ? evj->asString() : "";
-
-        if (ev == "row") {
-            ServedExperimentRow row;
-            if (const Json *j = frame.find("unit"))
-                row.unit = j->asString();
-            if (const Json *j = frame.find("seq"))
-                row.seq = j->asU64();
-            if (const Json *j = frame.find("trial"))
-                row.trial = j->asU64();
-            if (const Json *j = frame.find("seed"))
-                row.seed = j->asU64();
-            if (const Json *j = frame.find("cached"))
-                row.cached = j->asBool();
-            if (const Json *j = frame.find("host_s"))
-                row.hostSeconds = j->asDouble();
-            if (frame.find("error")) {
-                row.expired = true;
-            } else if (const Json *j = frame.find("outcome")) {
-                std::string oerr;
-                if (!outcomeFromJson(*j, row.outcome, oerr)) {
-                    result.errorMsg = "bad outcome row: " + oerr;
-                    return result;
-                }
-                row.outcome.hostSeconds = row.hostSeconds;
-            }
-            result.rows.push_back(std::move(row));
-            continue;
-        }
-        if (ev == "done") {
-            if (const Json *j = frame.find("cached"))
-                result.cached = j->asU64();
-            if (const Json *j = frame.find("computed"))
-                result.computed = j->asU64();
-            if (const Json *j = frame.find("expired"))
-                result.expired = j->asU64();
-            // Workers finish out of order; the registry's job order
-            // is by dense seq.
-            std::sort(result.rows.begin(), result.rows.end(),
-                      [](const ServedExperimentRow &a,
-                         const ServedExperimentRow &b) {
-                          return a.seq < b.seq;
-                      });
-            result.ok = true;
-            return result;
-        }
-        if (ev == "error") {
-            if (const Json *j = frame.find("code"))
-                result.errorCode = j->asString();
-            if (const Json *j = frame.find("msg"))
-                result.errorMsg = j->asString();
-            return result;
-        }
-        result.errorMsg = "unexpected event '" + ev + "'";
-        return result;
-    }
+    ExperimentResult result;
+    result.experiment = name;
+    stream(std::move(req), result);
+    // Workers finish out of order; the registry's job order is by
+    // dense seq.
+    std::sort(result.rows.begin(), result.rows.end(),
+              [](const ServedExperimentRow &a,
+                 const ServedExperimentRow &b) { return a.seq < b.seq; });
+    return result;
 }
 
 bool
@@ -271,53 +224,22 @@ bool
 Client::requestResponse(Json req, const char *expect_ev, Json &resp,
                         std::string *err)
 {
-    if (fd_ < 0) {
-        if (err)
-            *err = "not connected";
-        return false;
-    }
-    std::uint64_t id = nextId_++;
-    req.set("id", Json::number(id));
-    if (!sendJsonLine(fd_, req)) {
-        if (err)
-            *err = "send failed";
-        return false;
-    }
-    std::string line;
-    while (true) {
-        LineReader::Status st = reader_.readLine(line);
-        if (st != LineReader::Status::Line) {
-            if (err)
-                *err = "connection closed mid-response";
-            return false;
-        }
-        Json frame;
-        std::string perr;
-        if (!Json::parse(line, frame, &perr) || !frame.isObject()) {
-            if (err)
-                *err = "bad frame from server: " + perr;
-            return false;
-        }
-        const Json *idj = frame.find("id");
-        if (!idj || idj->asU64() != id)
-            continue;
-        const Json *evj = frame.find("ev");
-        const std::string &ev = evj ? evj->asString() : "";
-        if (ev == expect_ev) {
-            resp = std::move(frame);
+    std::string why;
+    std::uint64_t id = 0;
+    std::string ev;
+    if (send(req, id, why) && nextFrame(id, resp, ev, why)) {
+        if (ev == expect_ev)
             return true;
-        }
         if (ev == "error") {
-            if (err) {
-                const Json *m = frame.find("msg");
-                *err = m ? m->asString() : "server error";
-            }
-            return false;
+            const Json *m = resp.find("msg");
+            why = m ? m->asString() : "server error";
+        } else {
+            why = "unexpected event '" + ev + "'";
         }
-        if (err)
-            *err = "unexpected event '" + ev + "'";
-        return false;
     }
+    if (err)
+        *err = why;
+    return false;
 }
 
 bool

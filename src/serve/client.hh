@@ -41,37 +41,16 @@ struct SweepRow
 };
 
 /** One streamed row of a served registry experiment. */
-struct ServedExperimentRow
+struct ServedExperimentRow : SweepRow
 {
     std::string unit;
     std::uint64_t seq = 0;
-    std::uint64_t trial = 0;
-    std::uint64_t seed = 0;
-    bool cached = false;
-    bool expired = false;
-    double hostSeconds = 0.0;
-    RunOutcome outcome;
 };
 
-/** Everything a run_experiment returned. Rows are sorted by seq —
- *  the registry's deterministic job order — so rendering them with
- *  experimentRowJson reproduces a local `bench_driver --run --rows`
- *  stream byte for byte. */
-struct ExperimentResult
-{
-    bool ok = false;
-    std::string errorCode;
-    std::string errorMsg;
-
-    std::string experiment;
-    std::vector<ServedExperimentRow> rows;
-    std::uint64_t cached = 0;
-    std::uint64_t computed = 0;
-    std::uint64_t expired = 0;
-};
-
-/** Everything a submit returned. */
-struct SweepResult
+/** Everything a work request returned: its rows, then the `done`
+ *  counts or the error. */
+template <typename Row>
+struct StreamResult
 {
     bool ok = false;
     /** kErrOverloaded / kErrShuttingDown / kErrBadRequest / "" on
@@ -79,11 +58,24 @@ struct SweepResult
     std::string errorCode;
     std::string errorMsg;
 
-    std::vector<SweepRow> rows;
+    std::vector<Row> rows;
     std::uint64_t cached = 0;
     std::uint64_t computed = 0;
     std::uint64_t expired = 0;
+};
 
+/** Everything a run_experiment returned. Rows are sorted by seq —
+ *  the registry's deterministic job order — so rendering them with
+ *  experimentRowJson reproduces a local `bench_driver --run --rows`
+ *  stream byte for byte. */
+struct ExperimentResult : StreamResult<ServedExperimentRow>
+{
+    std::string experiment;
+};
+
+/** Everything a submit returned. */
+struct SweepResult : StreamResult<SweepRow>
+{
     /** Outcomes indexed by trial (expired rows left
      *  default-constructed). Size = max trial index + 1. */
     std::vector<RunOutcome> outcomes() const;
@@ -147,6 +139,18 @@ class Client
     bool ping(std::string *err = nullptr);
 
   private:
+    /** Send @p req under a fresh id; false + @p err if not
+     *  connected or the send fails. */
+    bool send(Json &req, std::uint64_t &id, std::string &err);
+    /** Read until the next frame for request @p id; false + @p err
+     *  if the connection ends or a frame does not parse. */
+    bool nextFrame(std::uint64_t id, Json &frame, std::string &ev,
+                   std::string &err);
+    /** Send work request @p req and fold its rows (each also handed
+     *  to @p on_row) and its `done` or error into @p result. */
+    template <typename Row>
+    void stream(Json req, StreamResult<Row> &result,
+                const std::function<void(const Row &)> &on_row = {});
     /** Send one request and read frames until a terminal event. */
     bool simpleOp(const char *op, const char *expect_ev, Json &resp,
                   std::string *err);

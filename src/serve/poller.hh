@@ -64,6 +64,7 @@ struct Conn
 
     int fd = -1;
     bool wantWrite = false; //!< EPOLLOUT currently needed
+    bool armed = false;     //!< EPOLLOUT currently registered
     bool dead = false;      //!< peer gone or protocol violation
 
     std::string in;

@@ -7,16 +7,15 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <climits>
 #include <cstdint>
 #include <optional>
 
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
 #include "harness/experiment.hh"
-#include "harness/runner.hh"
 #include "harness/specio.hh"
 #include "obs/trace.hh"
+#include "serve/plan.hh"
 #include "serve/wire.hh"
 
 namespace tw
@@ -75,19 +74,7 @@ struct Server::Session
             ::close(fd);
     }
 
-    bool
-    send(const Json &j)
-    {
-        std::lock_guard<std::mutex> lock(writeMutex);
-        if (dead.load(std::memory_order_relaxed))
-            return false;
-        if (!sendJsonLine(fd, j)) {
-            // Client vanished (or timed out); stop wasting writes.
-            dead.store(true, std::memory_order_relaxed);
-            return false;
-        }
-        return true;
-    }
+    bool send(const Json &j) { return sendRaw(j.dump() + '\n'); }
 
     /** Send pre-framed ('\n'-terminated) bytes in ONE write: the
      *  row-batching path — a sweep's cached rows cost one syscall
@@ -99,6 +86,7 @@ struct Server::Session
         if (dead.load(std::memory_order_relaxed))
             return false;
         if (!sendAll(fd, framed.data(), framed.size())) {
+            // Client vanished (or timed out); stop wasting writes.
             dead.store(true, std::memory_order_relaxed);
             return false;
         }
@@ -116,7 +104,7 @@ struct Server::SessionEntry
     std::atomic<bool> finished{false};
 };
 
-/** One submit request in flight: shared by every Job of its sweep.
+/** One work request in flight: shared by every Job of its plan.
  *  remaining starts at jobs+1 — the extra count is held by the
  *  session thread until it has streamed the cached rows, so "done"
  *  can never outrun them. */
@@ -124,12 +112,9 @@ struct Server::Request
 {
     std::shared_ptr<Session> session;
     std::uint64_t id = 0;
-    std::shared_ptr<const RunSpec> spec;
-    /** Registry entry behind a run_experiment request; empty for
-     *  ad-hoc submits. Rows of an experiment carry the name plus
-     *  the unit/seq coordinates of the registry's job enumeration. */
+    /** Plan::experiment: rows of a named plan carry it plus their
+     *  unit/seq coordinates. */
     std::string experiment;
-    bool slowdown = true;
     std::optional<Clock::time_point> deadline;
     Clock::time_point start = Clock::now();
 
@@ -140,19 +125,11 @@ struct Server::Request
     std::atomic<std::uint64_t> expired{0};
 };
 
-/** One trial waiting on the bounded queue. Each job carries its own
- *  spec and slowdown flag: a submit shares one spec across its
- *  seeds, while an experiment's grid gives every unit a different
- *  spec (and its trial plan may mix slowdown on and off). */
+/** One trial waiting on the bounded queue, with its cache key. */
 struct Server::Job
 {
     std::shared_ptr<Request> req;
-    std::shared_ptr<const RunSpec> spec;
-    std::uint64_t seed = 0;
-    std::uint64_t trial = 0;
-    bool slowdown = true;
-    std::string unit;
-    std::uint64_t seq = 0;
+    Trial trial;
     std::string key;
     Clock::time_point enqueued;
 };
@@ -160,10 +137,7 @@ struct Server::Job
 /** A trial answered straight from the result cache at admission. */
 struct Server::CachedHit
 {
-    std::string unit;
-    std::uint64_t seq = 0;
-    std::uint64_t trial = 0;
-    std::uint64_t seed = 0;
+    Trial trial;
     RunOutcome outcome;
 };
 
@@ -171,21 +145,18 @@ namespace
 {
 
 /** The row-identity prefix shared by cached and computed rows. */
-void
-setRowIdentity(Json &row, const std::string &experiment,
-               std::uint64_t id, const std::string &unit,
-               std::uint64_t seq, std::uint64_t trial,
-               std::uint64_t seed)
+Json
+rowHead(const std::string &experiment, std::uint64_t id, const Trial &t)
 {
-    row.set("id", Json::number(id));
-    row.set("ev", Json::str("row"));
+    Json row = reply(id, "row");
     if (!experiment.empty()) {
         row.set("experiment", Json::str(experiment));
-        row.set("unit", Json::str(unit));
-        row.set("seq", Json::number(seq));
+        row.set("unit", Json::str(t.unit));
+        row.set("seq", Json::number(t.seq));
     }
-    row.set("trial", Json::number(trial));
-    row.set("seed", Json::number(seed));
+    row.set("trial", Json::number(t.trial));
+    row.set("seed", Json::number(t.seed));
+    return row;
 }
 
 } // anonymous namespace
@@ -475,48 +446,31 @@ Server::sendError(const std::shared_ptr<Session> &session,
                   std::uint64_t id, const char *code,
                   const std::string &msg)
 {
-    Json j = Json::object();
-    j.set("id", Json::number(id));
-    j.set("ev", Json::str("error"));
-    j.set("code", Json::str(code));
-    j.set("msg", Json::str(msg));
-    session->send(j);
+    session->send(errorReply(id, code, msg));
 }
 
 void
 Server::handleLine(const std::shared_ptr<Session> &session,
                    const std::string &line)
 {
-    Json req;
+    RequestHead head;
     std::string err;
     bool parsed;
     {
         obs::ScopedSpan span("parse", "serve");
-        parsed = Json::parse(line, req, &err) && req.isObject();
+        parsed = readRequestHead(line, head, err);
     }
+    const std::uint64_t id = head.id;
     if (!parsed) {
         metrics_.badRequests.inc();
-        sendError(session, 0, kErrBadRequest,
-                  "unparseable request: " + err);
+        sendError(session, id, kErrBadRequest, err);
         return;
     }
-    std::uint64_t id = 0;
-    if (const Json *j = req.find("id"); j && j->isNumber())
-        id = j->asU64();
-    const Json *opj = req.find("op");
-    if (!opj || !opj->isString()) {
-        metrics_.badRequests.inc();
-        sendError(session, id, kErrBadRequest, "missing op");
-        return;
-    }
-    const std::string &op = opj->asString();
+    const std::string &op = head.op;
+    const Json &req = head.req;
 
-    if (op == "submit") {
-        handleSubmit(session, id, req);
-        return;
-    }
-    if (op == "run_experiment") {
-        handleRunExperiment(session, id, req);
+    if (isWorkOp(op)) {
+        handleWork(session, head);
         return;
     }
     if (op == "reserve") {
@@ -527,59 +481,32 @@ Server::handleLine(const std::shared_ptr<Session> &session,
         handleRelease(session, id, req);
         return;
     }
-    if (op == "run_jobs") {
-        handleRunJobs(session, id, req);
-        return;
-    }
     if (op == "stats") {
         metrics_.statsReqs.inc();
-        Json resp = Json::object();
-        resp.set("id", Json::number(id));
-        resp.set("ev", Json::str("stats"));
+        Json resp = reply(id, "stats");
         resp.set("stats", statsJson());
         session->send(resp);
         return;
     }
     if (op == "metrics") {
-        // The whole-process registry — engine counters next to
-        // serve counters — not the per-server stats view.
         metrics_.metricsReqs.inc();
-        Json resp = Json::object();
-        resp.set("id", Json::number(id));
-        resp.set("ev", Json::str("metrics"));
-        bool prom = false;
-        if (const Json *j = req.find("format"); j && j->isString())
-            prom = j->asString() == "prom";
-        if (prom)
-            resp.set("prom", Json::str(obs::registry().promText()));
-        else
-            resp.set("metrics", obs::registry().snapshotJson());
-        session->send(resp);
+        session->send(metricsReply(id, req));
         return;
     }
     if (op == "flush-cache") {
         metrics_.flushes.inc();
         cache_.flush();
-        Json resp = Json::object();
-        resp.set("id", Json::number(id));
-        resp.set("ev", Json::str("ok"));
-        session->send(resp);
+        session->send(reply(id, "ok"));
         return;
     }
     if (op == "ping") {
         metrics_.pings.inc();
-        Json resp = Json::object();
-        resp.set("id", Json::number(id));
-        resp.set("ev", Json::str("pong"));
-        session->send(resp);
+        session->send(reply(id, "pong"));
         return;
     }
     if (op == "shutdown") {
         metrics_.shutdowns.inc();
-        Json resp = Json::object();
-        resp.set("id", Json::number(id));
-        resp.set("ev", Json::str("ok"));
-        session->send(resp);
+        session->send(reply(id, "ok"));
         requestStop();
         return;
     }
@@ -588,151 +515,51 @@ Server::handleLine(const std::shared_ptr<Session> &session,
 }
 
 void
-Server::handleSubmit(const std::shared_ptr<Session> &session,
-                     std::uint64_t id, const Json &reqJson)
+Server::handleWork(const std::shared_ptr<Session> &session,
+                   const RequestHead &head)
 {
-    metrics_.submits.inc();
+    if (head.op == "submit")
+        metrics_.submits.inc();
+    else if (head.op == "run_experiment")
+        metrics_.runExperiments.inc();
+    else
+        metrics_.runJobsReqs.inc();
 
-    // ---- Parse ----------------------------------------------------
-    auto bad = [&](const std::string &msg) {
-        metrics_.badRequests.inc();
-        sendError(session, id, kErrBadRequest, msg);
-    };
-
-    const Json *specj = reqJson.find("spec");
-    if (!specj)
-        return bad("missing spec");
-    auto spec = std::make_shared<RunSpec>();
+    Plan plan;
     std::string err;
-    if (specj->isString()) {
-        // Canonical text pass-through (what twctl sends).
-        if (!parseRunSpec(specj->asString(), *spec, err))
-            return bad("bad spec: " + err);
-    } else if (specj->isObject()) {
-        if (!specFromJson(*specj, *spec, err))
-            return bad("bad spec: " + err);
-    } else {
-        return bad("spec must be an object or canonical text");
-    }
-
-    std::vector<std::uint64_t> seeds;
-    if (!readSeeds(reqJson, seeds, err))
-        return bad(err);
-
-    bool slowdown = true;
-    if (const Json *j = reqJson.find("slowdown")) {
-        if (!j->isBool())
-            return bad("slowdown must be a bool");
-        slowdown = j->asBool();
-    }
-    std::optional<std::uint64_t> deadlineMs;
-    if (!readDeadlineMs(reqJson, deadlineMs, err))
-        return bad(err);
-    std::optional<Clock::time_point> deadline;
-    if (deadlineMs)
-        deadline = Clock::now() + std::chrono::milliseconds(*deadlineMs);
-
-    // ---- Plan: cache hits vs jobs ---------------------------------
-    auto request = std::make_shared<Request>();
-    request->session = session;
-    request->id = id;
-    request->spec = spec;
-    request->slowdown = slowdown;
-    request->deadline = deadline;
-
-    std::vector<CachedHit> hits;
-    std::vector<Job> jobs;
-    for (std::size_t t = 0; t < seeds.size(); ++t) {
-        std::string key = cacheKey(*spec, seeds[t], slowdown);
-        RunOutcome out;
-        bool hit = cache_.lookup(key, out);
-        metrics_.recordCacheLookup("_adhoc", hit);
-        metrics_.recordCostBackend(costBackendStatName(*spec));
-        if (hit) {
-            hits.push_back({"", 0, t, seeds[t], std::move(out)});
-        } else {
-            Job job;
-            job.req = request;
-            job.spec = spec;
-            job.seed = seeds[t];
-            job.trial = t;
-            job.slowdown = slowdown;
-            job.key = std::move(key);
-            jobs.push_back(std::move(job));
-        }
-    }
-    admitAndStream(session, id, request, std::move(jobs), hits);
-}
-
-void
-Server::handleRunExperiment(const std::shared_ptr<Session> &session,
-                            std::uint64_t id, const Json &reqJson)
-{
-    metrics_.runExperiments.inc();
-
-    auto bad = [&](const std::string &msg) {
+    if (!compileRequest(head.op, head.req, plan, err)) {
         metrics_.badRequests.inc();
-        sendError(session, id, kErrBadRequest, msg);
-    };
-
-    const Json *ej = reqJson.find("experiment");
-    if (!ej || !ej->isString())
-        return bad("missing experiment");
-    const ExperimentDef *def =
-        ExperimentRegistry::instance().find(ej->asString());
-    if (!def)
-        return bad("unknown experiment '" + ej->asString() + "'");
-
-    std::uint64_t scaleOverride = 0;
-    if (const Json *j = reqJson.find("scale")) {
-        if (!j->toUnsigned(UINT_MAX, scaleOverride))
-            return bad("scale must be a non-negative integer");
+        sendError(session, head.id, kErrBadRequest, err);
+        return;
     }
-    unsigned scale =
-        experimentScale(*def, static_cast<unsigned>(scaleOverride));
-
-    // The SAME deterministic enumeration bench_driver runs locally:
-    // units in grid order, trials in plan order, seq dense from 0.
-    // Each job's cache key is the one a local run would use, so a
-    // served experiment and a local one populate and hit the same
-    // ResultCache entries. Adaptive plans (TrialPlan::stopWhen) do
-    // not perturb this: experimentJobs always enumerates the FULL
-    // seed list — the upper bound an adaptive local run may stop
-    // short of — so all-or-nothing admission sizes against a known
-    // worst case, and every key a stopped-early local sweep wrote is
-    // a prefix of the keys enumerated here.
-    std::vector<ExperimentJob> plan = experimentJobs(*def, scale);
-
     auto request = std::make_shared<Request>();
     request->session = session;
-    request->id = id;
-    request->experiment = def->name;
+    request->id = head.id;
+    request->experiment = plan.experiment;
+    if (plan.deadlineMs)
+        request->deadline =
+            Clock::now() + std::chrono::milliseconds(*plan.deadlineMs);
 
+    // Cache hits vs jobs. A trial's key is its spec's key text plus
+    // the seed suffix — byte-identical to the key any other op, or a
+    // local run, uses for the same trial.
+    const std::string &statsName =
+        plan.experiment.empty() ? "_adhoc" : plan.experiment;
     std::vector<CachedHit> hits;
     std::vector<Job> jobs;
-    for (ExperimentJob &pj : plan) {
-        std::string key = cacheKey(pj.spec, pj.seed, pj.withSlowdown);
+    for (Trial &t : plan.trials) {
+        std::string key = cacheKey(t.spec->keyText, t.seed, t.slowdown);
         RunOutcome out;
         bool hit = cache_.lookup(key, out);
-        metrics_.recordCacheLookup(def->name, hit);
-        metrics_.recordCostBackend(costBackendStatName(pj.spec));
-        if (hit) {
-            hits.push_back({pj.unit, pj.seq, pj.trial, pj.seed,
-                            std::move(out)});
-        } else {
-            Job job;
-            job.req = request;
-            job.spec = std::make_shared<RunSpec>(std::move(pj.spec));
-            job.seed = pj.seed;
-            job.trial = pj.trial;
-            job.slowdown = pj.withSlowdown;
-            job.unit = std::move(pj.unit);
-            job.seq = pj.seq;
-            job.key = std::move(key);
-            jobs.push_back(std::move(job));
-        }
+        metrics_.recordCacheLookup(statsName, hit);
+        metrics_.recordCostBackend(costBackendStatName(t.spec->spec));
+        if (hit)
+            hits.push_back({std::move(t), std::move(out)});
+        else
+            jobs.push_back({request, std::move(t), std::move(key), {}});
     }
-    admitAndStream(session, id, request, std::move(jobs), hits);
+    admitAndStream(session, head.id, request, std::move(jobs), hits,
+                   plan.reservation);
 }
 
 void
@@ -769,9 +596,7 @@ Server::handleReserve(const std::shared_ptr<Session> &session,
         token = nextReservation_++;
         reservations_[token] = {n, session.get()};
     }
-    Json resp = Json::object();
-    resp.set("id", Json::number(id));
-    resp.set("ev", Json::str("reserved"));
+    Json resp = reply(id, "reserved");
     resp.set("reservation", Json::number(token));
     resp.set("jobs", Json::number(static_cast<std::uint64_t>(n)));
     session->send(resp);
@@ -796,143 +621,10 @@ Server::handleRelease(const std::shared_ptr<Session> &session,
     std::size_t slots = takeReservation(token, session.get());
     if (slots > 0)
         queue_.releaseReserved(slots);
-    Json resp = Json::object();
-    resp.set("id", Json::number(id));
-    resp.set("ev", Json::str("ok"));
+    Json resp = reply(id, "ok");
     resp.set("released",
              Json::number(static_cast<std::uint64_t>(slots)));
     session->send(resp);
-}
-
-void
-Server::handleRunJobs(const std::shared_ptr<Session> &session,
-                      std::uint64_t id, const Json &reqJson)
-{
-    metrics_.runJobsReqs.inc();
-
-    auto bad = [&](const std::string &msg) {
-        metrics_.badRequests.inc();
-        sendError(session, id, kErrBadRequest, msg);
-    };
-
-    std::uint64_t reservation = 0;
-    if (const Json *j = reqJson.find("reservation")) {
-        if (!j->toUnsigned(UINT64_MAX, reservation))
-            return bad("reservation must be a non-negative integer");
-    }
-    std::string experiment;
-    if (const Json *j = reqJson.find("experiment")) {
-        if (!j->isString())
-            return bad("experiment must be a string");
-        experiment = j->asString();
-    }
-    std::optional<std::uint64_t> deadlineMs;
-    std::string deadlineErr;
-    if (!readDeadlineMs(reqJson, deadlineMs, deadlineErr))
-        return bad(deadlineErr);
-    std::optional<Clock::time_point> deadline;
-    if (deadlineMs)
-        deadline = Clock::now() + std::chrono::milliseconds(*deadlineMs);
-    // Batch-level default spec: jobs that omit their own "spec"
-    // share this one, parsed once. A fan-out batch is usually one
-    // sweep's slice, so this turns O(jobs) copies of the ~6 KB
-    // canonical text into one per request.
-    std::shared_ptr<RunSpec> defaultSpec;
-    if (const Json *j = reqJson.find("spec")) {
-        if (!j->isString())
-            return bad("spec must be canonical spec text");
-        defaultSpec = std::make_shared<RunSpec>();
-        std::string err;
-        if (!parseRunSpec(j->asString(), *defaultSpec, err))
-            return bad("bad spec: " + err);
-    }
-    const Json *jobsj = reqJson.find("jobs");
-    if (!jobsj || !jobsj->isArray() || jobsj->size() == 0)
-        return bad("jobs must be a non-empty array");
-
-    auto request = std::make_shared<Request>();
-    request->session = session;
-    request->id = id;
-    request->experiment = experiment;
-    request->deadline = deadline;
-
-    // Each entry names its trial explicitly (spec canonical text,
-    // seed, slowdown, unit/seq/trial coordinates), so the cache key
-    // computed here is byte-identical to the one a single-node
-    // submit or run_experiment of the same trial would use — the
-    // property that makes shard-local caches line up with the ring.
-    std::vector<CachedHit> hits;
-    std::vector<Job> jobs;
-    for (std::size_t i = 0; i < jobsj->size(); ++i) {
-        const Json &jj = jobsj->at(i);
-        if (!jj.isObject())
-            return bad("jobs entries must be objects");
-        std::shared_ptr<RunSpec> spec;
-        if (const Json *specj = jj.find("spec")) {
-            if (!specj->isString())
-                return bad("job spec must be canonical spec text");
-            spec = std::make_shared<RunSpec>();
-            std::string err;
-            if (!parseRunSpec(specj->asString(), *spec, err))
-                return bad("bad job spec: " + err);
-        } else if (defaultSpec) {
-            spec = defaultSpec;
-        } else {
-            return bad("job has no spec and the request has no "
-                       "default spec");
-        }
-        const Json *seedj = jj.find("seed");
-        std::uint64_t seed = 0;
-        if (!seedj || !seedj->toUnsigned(UINT64_MAX, seed))
-            return bad("job seed must be a non-negative integer");
-        bool slowdown = true;
-        if (const Json *j = jj.find("slowdown")) {
-            if (!j->isBool())
-                return bad("job slowdown must be a bool");
-            slowdown = j->asBool();
-        }
-        std::uint64_t trial = i;
-        if (const Json *j = jj.find("trial")) {
-            if (!j->toUnsigned(UINT64_MAX, trial))
-                return bad("job trial must be a non-negative "
-                           "integer");
-        }
-        std::string unit;
-        if (const Json *j = jj.find("unit")) {
-            if (!j->isString())
-                return bad("job unit must be a string");
-            unit = j->asString();
-        }
-        std::uint64_t seq = trial;
-        if (const Json *j = jj.find("seq")) {
-            if (!j->toUnsigned(UINT64_MAX, seq))
-                return bad("job seq must be a non-negative integer");
-        }
-
-        std::string key = cacheKey(*spec, seed, slowdown);
-        RunOutcome out;
-        bool hit = cache_.lookup(key, out);
-        metrics_.recordCacheLookup(
-            experiment.empty() ? "_adhoc" : experiment, hit);
-        metrics_.recordCostBackend(costBackendStatName(*spec));
-        if (hit) {
-            hits.push_back(
-                {std::move(unit), seq, trial, seed, std::move(out)});
-        } else {
-            Job job;
-            job.req = request;
-            job.spec = std::move(spec);
-            job.seed = seed;
-            job.trial = trial;
-            job.slowdown = slowdown;
-            job.unit = std::move(unit);
-            job.seq = seq;
-            job.key = std::move(key);
-            jobs.push_back(std::move(job));
-        }
-    }
-    admitAndStream(session, id, request, std::move(jobs), hits,
-                   reservation);
 }
 
 std::size_t
@@ -1045,9 +737,7 @@ Server::admitAndStream(const std::shared_ptr<Session> &session,
         // hit rates the send() syscall per row WAS the serve cost.
         std::string batch;
         for (const CachedHit &h : hits) {
-            Json row = Json::object();
-            setRowIdentity(row, request->experiment, id, h.unit,
-                           h.seq, h.trial, h.seed);
+            Json row = rowHead(request->experiment, id, h.trial);
             row.set("cached", Json::boolean(true));
             row.set("host_s", Json::number(h.outcome.hostSeconds));
             row.set("outcome", outcomeToJson(h.outcome));
@@ -1086,9 +776,8 @@ Server::workerLoop()
         }
 
         const Request &req = *job->req;
-        Json row = Json::object();
-        setRowIdentity(row, req.experiment, req.id, job->unit,
-                       job->seq, job->trial, job->seed);
+        const Trial &t = job->trial;
+        Json row = rowHead(req.experiment, req.id, t);
 
         bool expired =
             req.deadline && Clock::now() > *req.deadline;
@@ -1103,10 +792,9 @@ Server::workerLoop()
             RunOutcome out;
             {
                 obs::ScopedSpan span("run", "serve");
-                out = job->slowdown
-                          ? Runner::runWithSlowdown(*job->spec,
-                                                    job->seed)
-                          : Runner::runOne(*job->spec, job->seed);
+                out = t.slowdown
+                          ? Runner::runWithSlowdown(t.spec->spec, t.seed)
+                          : Runner::runOne(t.spec->spec, t.seed);
             }
             metrics_.runStage.record(usSince(t0));
             cache_.insert(job->key, out);
@@ -1137,9 +825,7 @@ Server::finishOne(const std::shared_ptr<Request> &req)
 {
     if (req->remaining.fetch_sub(1) != 1)
         return;
-    Json done = Json::object();
-    done.set("id", Json::number(req->id));
-    done.set("ev", Json::str("done"));
+    Json done = reply(req->id, "done");
     done.set("rows",
              Json::number(req->rows.load(std::memory_order_relaxed)));
     done.set("cached",

@@ -15,8 +15,9 @@
  *
  *   accept thread ──► session thread per connection
  *                        │  parse line, answer admin ops inline
- *                        │  submit: cache lookups, then admit the
- *                        ▼  sweep ATOMICALLY or reject `overloaded`
+ *                        │  work ops: compile (serve/plan.hh), cache
+ *                        │  lookups, then admit the sweep
+ *                        ▼  ATOMICALLY or reject `overloaded`
  *                 BoundedQueue<Job>  (backpressure edge)
  *                        │
  *                        ▼
@@ -50,6 +51,7 @@
 #include "base/bounded_queue.hh"
 #include "base/json.hh"
 #include "serve/metrics.hh"
+#include "serve/plan.hh"
 #include "serve/result_cache.hh"
 
 namespace tw
@@ -156,20 +158,19 @@ class Server
     std::optional<Job> nextJob();
     void handleLine(const std::shared_ptr<Session> &session,
                     const std::string &line);
-    void handleSubmit(const std::shared_ptr<Session> &session,
-                      std::uint64_t id, const Json &req);
-    void handleRunExperiment(const std::shared_ptr<Session> &session,
-                             std::uint64_t id, const Json &req);
+    /** submit, run_experiment and run_jobs: compile the request
+     *  (serve/plan.hh), look every trial up in the result cache,
+     *  then admitAndStream the hits and jobs. */
+    void handleWork(const std::shared_ptr<Session> &session,
+                    const RequestHead &head);
     void handleReserve(const std::shared_ptr<Session> &session,
                        std::uint64_t id, const Json &req);
     void handleRelease(const std::shared_ptr<Session> &session,
                        std::uint64_t id, const Json &req);
-    void handleRunJobs(const std::shared_ptr<Session> &session,
-                       std::uint64_t id, const Json &req);
     struct CachedHit;
     /**
-     * Shared admission + cached-row streaming tail of submit,
-     * run_experiment, and run_jobs: all-or-nothing enqueue, then
+     * Admission + cached-row streaming tail of handleWork:
+     * all-or-nothing enqueue, then
      * the hits in ONE coalesced write. A nonzero @p reservation is
      * a token from `reserve` — the jobs consume its slots instead
      * of competing for free space (two-phase commit; any excess,

@@ -5,14 +5,13 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <climits>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
 #include <utility>
 
 #include "base/logging.hh"
-#include "harness/experiment.hh"
 #include "harness/specio.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -65,6 +64,41 @@ rc()
     return c;
 }
 
+/** Member @p key of worker reply @p j as a plain decimal u64; false
+ *  when it is missing or is anything else. */
+bool
+replyCount(const Json &j, const char *key, std::uint64_t &out)
+{
+    const Json *v = j.find(key);
+    return v && v->toUnsigned(UINT64_MAX, out);
+}
+
+/** Result-cache (hits, misses) per experiment. */
+using CacheCounts =
+    std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>;
+
+/** Add a shard stats payload's per-experiment cache counts to @p sum;
+ *  false, adding nothing, unless every count is a plain u64. */
+bool
+addCacheCounts(const Json &stats, CacheCounts &sum)
+{
+    const Json *exps = stats.find("experiments");
+    if (!exps || !exps->isObject())
+        return false;
+    CacheCounts shard;
+    for (const auto &kv : exps->members()) {
+        auto &c = shard[kv.first];
+        if (!replyCount(kv.second, "hits", c.first)
+            || !replyCount(kv.second, "misses", c.second))
+            return false;
+    }
+    for (const auto &kv : shard) {
+        sum[kv.first].first += kv.second.first;
+        sum[kv.first].second += kv.second.second;
+    }
+    return true;
+}
+
 } // anonymous namespace
 
 /** Common epoll-tag head: every registered pointer starts with a
@@ -88,30 +122,16 @@ struct Router::ClientConn : Io
     Conn conn;
     std::set<Pending *> pendings;
     std::set<AdminFan *> fans;
+    bool rowsQueued = false; //!< listed in Router::rowsQueued_
 };
 
 struct Router::WorkerLink : Io
 {
     WorkerLink() : Io(Type::Worker) {}
-    std::string name; //!< address string = ring member name
-    bool isUnix = true;
-    std::string host;
-    int port = 0;
+    ShardAddress addr; //!< addr.name = ring member name
     Conn conn;
     bool up = false;
     bool awaitingPong = false;
-};
-
-/** One trial, planned and fingerprinted at the front door. */
-struct Router::PlannedJob
-{
-    std::string specText;
-    std::uint64_t fingerprint = 0;
-    std::uint64_t seed = 0;
-    bool slowdown = true;
-    std::string unit;
-    std::uint64_t seq = 0;
-    std::uint64_t trial = 0;
 };
 
 /** One client request fanned over the ring: per-shard two-phase
@@ -126,7 +146,7 @@ struct Router::Pending
     struct Part
     {
         WorkerLink *link = nullptr;
-        std::vector<PlannedJob> jobs;
+        std::vector<Trial> jobs;
         std::uint64_t reservation = 0;
         enum class State
         {
@@ -158,25 +178,12 @@ struct Router::AdminFan
     bool stats = true; //!< else flush-cache
     unsigned outstanding = 0;
     Json shards = Json::object();
+    /** Summed over the shards' stats replies as they arrive. */
+    CacheCounts experiments;
 };
 
 Router::Router(RouterConfig cfg) : cfg_(std::move(cfg)), map_(cfg_.vnodes)
 {
-    for (const std::string &addr : cfg_.shards) {
-        auto link = std::make_unique<WorkerLink>();
-        link->name = addr;
-        if (addr.find('/') != std::string::npos) {
-            link->isUnix = true;
-        } else {
-            link->isUnix = false;
-            std::size_t colon = addr.rfind(':');
-            if (colon != std::string::npos) {
-                link->host = addr.substr(0, colon);
-                link->port = std::atoi(addr.c_str() + colon + 1);
-            }
-        }
-        links_.push_back(std::move(link));
-    }
 }
 
 Router::~Router()
@@ -197,10 +204,22 @@ Router::start(std::string *err)
             *err = "no socket path configured";
         return false;
     }
-    if (links_.empty()) {
+    if (cfg_.shards.empty()) {
         if (err)
             *err = "no shards configured";
         return false;
+    }
+    links_.clear();
+    for (const std::string &member : cfg_.shards) {
+        auto link = std::make_unique<WorkerLink>();
+        std::string why;
+        if (!parseShardAddress(member, link->addr, why)) {
+            if (err)
+                *err = why;
+            links_.clear();
+            return false;
+        }
+        links_.push_back(std::move(link));
     }
     if (!poller_.valid()) {
         if (err)
@@ -219,18 +238,13 @@ Router::start(std::string *err)
             return false;
         }
     }
-    {
+    for (int fd : {unixFd_, tcpFd_}) {
+        if (fd < 0)
+            continue;
         auto l = std::make_unique<Listener>();
-        l->fd = unixFd_;
-        setNonBlocking(l->fd);
-        poller_.add(l->fd, static_cast<Io *>(l.get()));
-        listeners_.push_back(std::move(l));
-    }
-    if (tcpFd_ >= 0) {
-        auto l = std::make_unique<Listener>();
-        l->fd = tcpFd_;
-        setNonBlocking(l->fd);
-        poller_.add(l->fd, static_cast<Io *>(l.get()));
+        l->fd = fd;
+        setNonBlocking(fd);
+        poller_.add(fd, static_cast<Io *>(l.get()));
         listeners_.push_back(std::move(l));
     }
     started_.store(true);
@@ -401,9 +415,9 @@ bool
 Router::connectLink(WorkerLink &link)
 {
     std::string err;
-    int fd = link.isUnix
-                 ? connectUnixSocket(link.name, &err)
-                 : connectTcpSocket(link.host, link.port, &err);
+    const ShardAddress &a = link.addr;
+    int fd = a.isUnix() ? connectUnixSocket(a.name, &err)
+                        : connectTcpSocket(a.host, a.port, &err);
     if (fd < 0)
         return false;
     setNonBlocking(fd);
@@ -417,10 +431,10 @@ Router::connectLink(WorkerLink &link)
     }
     link.up = true;
     upShards_.fetch_add(1);
-    map_.add(link.name);
+    map_.add(link.addr.name);
     if (cfg_.verbose)
         std::fprintf(stderr, "twserved: shard %s up (%zu in ring)\n",
-                     link.name.c_str(), map_.size());
+                     link.addr.name.c_str(), map_.size());
     return true;
 }
 
@@ -436,12 +450,12 @@ Router::markLinkDown(WorkerLink &link, const char *why)
     if (link.up) {
         link.up = false;
         upShards_.fetch_sub(1);
-        map_.remove(link.name);
+        map_.remove(link.addr.name);
         rc().shardFailures.inc();
         if (cfg_.verbose)
             std::fprintf(stderr,
                          "twserved: shard %s down (%s, %zu left)\n",
-                         link.name.c_str(), why, map_.size());
+                         link.addr.name.c_str(), why, map_.size());
     }
 
     // Settle every op that was in flight on this link. Handling one
@@ -456,32 +470,35 @@ Router::markLinkDown(WorkerLink &link, const char *why)
             return;
         OpRef ref = it->second;
         ops_.erase(it);
-        switch (ref.kind) {
-        case OpRef::Kind::Reserve:
-        case OpRef::Kind::Run: {
-            Pending &p = *ref.pending;
-            Pending::Part &part = p.parts[ref.part];
-            if (part.state != Pending::Part::State::Done
-                && part.state != Pending::Part::State::Failed) {
-                part.state = Pending::Part::State::Failed;
-                ++p.terminal;
-            }
-            failPending(p, kErrShardFailed,
-                        "shard " + link.name + " failed");
-            partTerminal(p);
-            break;
+        failOp(ref, kErrShardFailed, "shard " + link.addr.name + " failed");
+    }
+}
+
+void
+Router::failOp(const OpRef &ref, const std::string &code,
+               const std::string &msg)
+{
+    switch (ref.kind) {
+    case OpRef::Kind::Reserve:
+    case OpRef::Kind::Run: {
+        Pending &p = *ref.pending;
+        Pending::Part &part = p.parts[ref.part];
+        if (part.state != Pending::Part::State::Done
+            && part.state != Pending::Part::State::Failed) {
+            part.state = Pending::Part::State::Failed;
+            ++p.terminal;
         }
-        case OpRef::Kind::Stats:
-        case OpRef::Kind::Flush:
-            if (ref.fan && ref.fan->outstanding > 0) {
-                --ref.fan->outstanding;
-                finishFan(*ref.fan);
-            }
-            break;
-        case OpRef::Kind::Ping:
-        case OpRef::Kind::Release:
-            break;
-        }
+        failPending(p, code.c_str(), msg);
+        partTerminal(p);
+        break;
+    }
+    case OpRef::Kind::Stats:
+    case OpRef::Kind::Flush:
+        fanReplied(ref.fan);
+        break;
+    case OpRef::Kind::Ping:
+    case OpRef::Kind::Release:
+        break;
     }
 }
 
@@ -491,8 +508,10 @@ Router::flushConn(Io *io, Conn &conn, int fd)
     if (conn.dead || fd < 0)
         return;
     conn.flushOut();
-    if (!conn.dead)
+    if (!conn.dead && conn.wantWrite != conn.armed) {
         poller_.mod(fd, io, conn.wantWrite);
+        conn.armed = conn.wantWrite;
+    }
 }
 
 void
@@ -517,9 +536,7 @@ Router::acceptReady(Listener &l)
 void
 Router::clientReadable(ClientConn *c)
 {
-    if (!c->conn.readReady()) {
-        // Dead; the post-batch reaper calls closeClient.
-    }
+    c->conn.readReady(); // false: dead, reaped after the batch
     std::string line;
     while (!c->conn.dead && c->conn.extractLine(line))
         if (!line.empty())
@@ -530,14 +547,18 @@ Router::clientReadable(ClientConn *c)
 void
 Router::workerReadable(WorkerLink *w)
 {
-    if (!w->conn.readReady()) {
-        // Dead; the post-batch reaper calls markLinkDown.
-    }
+    w->conn.readReady(); // false: dead, reaped after the batch
     std::string line;
     while (!w->conn.dead && w->conn.extractLine(line))
         if (!line.empty())
             handleWorkerLine(w, line);
     flushConn(static_cast<Io *>(w), w->conn, w->conn.fd);
+    // Rows go out once per worker read, not once per row.
+    for (ClientConn *c : rowsQueued_) {
+        c->rowsQueued = false;
+        flushConn(static_cast<Io *>(c), c->conn, c->conn.fd);
+    }
+    rowsQueued_.clear();
 }
 
 void
@@ -591,12 +612,7 @@ void
 Router::sendClientError(ClientConn *c, std::uint64_t id,
                         const char *code, const std::string &msg)
 {
-    Json j = Json::object();
-    j.set("id", Json::number(id));
-    j.set("ev", Json::str("error"));
-    j.set("code", Json::str(code));
-    j.set("msg", Json::str(msg));
-    sendToClient(c, j);
+    sendToClient(c, errorReply(id, code, msg));
 }
 
 std::uint64_t
@@ -614,38 +630,24 @@ Router::sendWorkerOp(WorkerLink &w, Json req, OpRef ref)
 void
 Router::handleClientLine(ClientConn *c, const std::string &line)
 {
-    Json req;
+    RequestHead head;
     std::string err;
-    if (!Json::parse(line, req, &err) || !req.isObject()) {
+    const bool parsed = readRequestHead(line, head, err);
+    const std::uint64_t id = head.id;
+    if (!parsed) {
         rc().badRequests.inc();
-        sendClientError(c, 0, kErrBadRequest,
-                        "unparseable request: " + err);
+        sendClientError(c, id, kErrBadRequest, err);
         return;
     }
-    std::uint64_t id = 0;
-    if (const Json *j = req.find("id"); j && j->isNumber())
-        id = j->asU64();
-    const Json *opj = req.find("op");
-    if (!opj || !opj->isString()) {
-        rc().badRequests.inc();
-        sendClientError(c, id, kErrBadRequest, "missing op");
-        return;
-    }
-    const std::string &op = opj->asString();
+    const std::string &op = head.op;
 
-    if (op == "submit") {
-        handleSubmit(c, id, req);
-        return;
-    }
-    if (op == "run_experiment") {
-        handleRunExperiment(c, id, req);
+    // run_jobs is the workers' commit op, not the pool's.
+    if (op == "submit" || op == "run_experiment") {
+        handleWork(c, head);
         return;
     }
     if (op == "ping") {
-        Json resp = Json::object();
-        resp.set("id", Json::number(id));
-        resp.set("ev", Json::str("pong"));
-        sendToClient(c, resp);
+        sendToClient(c, reply(id, "pong"));
         return;
     }
     if (op == "stats") {
@@ -657,24 +659,11 @@ Router::handleClientLine(ClientConn *c, const std::string &line)
         return;
     }
     if (op == "metrics") {
-        Json resp = Json::object();
-        resp.set("id", Json::number(id));
-        resp.set("ev", Json::str("metrics"));
-        bool prom = false;
-        if (const Json *j = req.find("format"); j && j->isString())
-            prom = j->asString() == "prom";
-        if (prom)
-            resp.set("prom", Json::str(obs::registry().promText()));
-        else
-            resp.set("metrics", obs::registry().snapshotJson());
-        sendToClient(c, resp);
+        sendToClient(c, metricsReply(id, head.req));
         return;
     }
     if (op == "shutdown") {
-        Json resp = Json::object();
-        resp.set("id", Json::number(id));
-        resp.set("ev", Json::str("ok"));
-        sendToClient(c, resp);
+        sendToClient(c, reply(id, "ok"));
         requestStop();
         return;
     }
@@ -684,116 +673,22 @@ Router::handleClientLine(ClientConn *c, const std::string &line)
 }
 
 void
-Router::handleSubmit(ClientConn *c, std::uint64_t id,
-                     const Json &reqJson)
+Router::handleWork(ClientConn *c, const RequestHead &head)
 {
-    rc().submits.inc();
+    (head.op == "submit" ? rc().submits : rc().runExperiments).inc();
     obs::ScopedSpan span("route", "router");
-
-    auto bad = [&](const std::string &msg) {
-        rc().badRequests.inc();
-        sendClientError(c, id, kErrBadRequest, msg);
-    };
-
-    const Json *specj = reqJson.find("spec");
-    if (!specj)
-        return bad("missing spec");
-    RunSpec spec;
+    Plan plan;
     std::string err;
-    if (specj->isString()) {
-        if (!parseRunSpec(specj->asString(), spec, err))
-            return bad("bad spec: " + err);
-    } else if (specj->isObject()) {
-        if (!specFromJson(*specj, spec, err))
-            return bad("bad spec: " + err);
-    } else {
-        return bad("spec must be an object or canonical text");
-    }
-
-    std::vector<std::uint64_t> seeds;
-    if (!readSeeds(reqJson, seeds, err))
-        return bad(err);
-    bool slowdown = true;
-    if (const Json *j = reqJson.find("slowdown")) {
-        if (!j->isBool())
-            return bad("slowdown must be a bool");
-        slowdown = j->asBool();
-    }
-    std::optional<std::uint64_t> deadline;
-    if (!readDeadlineMs(reqJson, deadline, err))
-        return bad(err);
-
-    std::string text = formatRunSpec(spec);
-    std::vector<PlannedJob> jobs;
-    jobs.reserve(seeds.size());
-    for (std::size_t t = 0; t < seeds.size(); ++t) {
-        PlannedJob pj;
-        pj.specText = text;
-        pj.fingerprint = specFingerprint(spec, seeds[t], slowdown);
-        pj.seed = seeds[t];
-        pj.slowdown = slowdown;
-        pj.seq = t;
-        pj.trial = t;
-        jobs.push_back(std::move(pj));
-    }
-    startRequest(c, id, "", std::move(jobs), deadline);
-}
-
-void
-Router::handleRunExperiment(ClientConn *c, std::uint64_t id,
-                            const Json &reqJson)
-{
-    rc().runExperiments.inc();
-    obs::ScopedSpan span("route", "router");
-
-    auto bad = [&](const std::string &msg) {
+    if (!compileRequest(head.op, head.req, plan, err)) {
         rc().badRequests.inc();
-        sendClientError(c, id, kErrBadRequest, msg);
-    };
-
-    const Json *ej = reqJson.find("experiment");
-    if (!ej || !ej->isString())
-        return bad("missing experiment");
-    const ExperimentDef *def =
-        ExperimentRegistry::instance().find(ej->asString());
-    if (!def)
-        return bad("unknown experiment '" + ej->asString() + "'");
-    std::uint64_t scaleOverride = 0;
-    if (const Json *j = reqJson.find("scale")) {
-        if (!j->toUnsigned(UINT_MAX, scaleOverride))
-            return bad("scale must be a non-negative integer");
+        sendClientError(c, head.id, kErrBadRequest, err);
+        return;
     }
-    unsigned scale =
-        experimentScale(*def, static_cast<unsigned>(scaleOverride));
-
-    // The SAME enumeration a single twserved (or a local
-    // bench_driver) runs — seq dense from 0 — which is exactly what
-    // lets the merge reorder on seq and come out bit-identical.
-    std::vector<ExperimentJob> plan = experimentJobs(*def, scale);
-    std::vector<PlannedJob> jobs;
-    jobs.reserve(plan.size());
-    for (ExperimentJob &ej2 : plan) {
-        PlannedJob pj;
-        pj.specText = formatRunSpec(ej2.spec);
-        pj.fingerprint =
-            specFingerprint(ej2.spec, ej2.seed, ej2.withSlowdown);
-        pj.seed = ej2.seed;
-        pj.slowdown = ej2.withSlowdown;
-        pj.unit = std::move(ej2.unit);
-        pj.seq = ej2.seq;
-        pj.trial = ej2.trial;
-        jobs.push_back(std::move(pj));
-    }
-    if (jobs.empty())
-        return bad("experiment has no jobs");
-    startRequest(c, id, def->name, std::move(jobs), std::nullopt);
+    startRequest(c, head.id, std::move(plan));
 }
 
 void
-Router::startRequest(ClientConn *c, std::uint64_t id,
-                     std::string experiment,
-                     std::vector<PlannedJob> jobs,
-                     std::optional<std::uint64_t> deadline_ms)
+Router::startRequest(ClientConn *c, std::uint64_t id, Plan plan)
 {
     if (stopping_.load()) {
         rc().rejected.inc();
@@ -811,19 +706,23 @@ Router::startRequest(ClientConn *c, std::uint64_t id,
     auto p = std::make_unique<Pending>();
     p->client = c;
     p->clientId = id;
-    p->experiment = std::move(experiment);
-    p->totalJobs = jobs.size();
-    p->deadlineMs = deadline_ms;
+    p->experiment = std::move(plan.experiment);
+    p->totalJobs = plan.trials.size();
+    p->deadlineMs = plan.deadlineMs;
 
-    // Group by ring owner. Member order is the sorted member set,
-    // so part order is deterministic too.
-    std::map<std::string, std::vector<PlannedJob>> byOwner;
-    for (PlannedJob &pj : jobs)
-        byOwner[map_.owner(pj.fingerprint)].push_back(std::move(pj));
+    // Group by the ring owner of each trial's fingerprint — the
+    // hash of its cache key, so the owner's cache is the one that
+    // holds it. Member order is the sorted member set, so part
+    // order is deterministic too.
+    std::map<std::string, std::vector<Trial>> byOwner;
+    for (Trial &t : plan.trials)
+        byOwner[map_.owner(specFingerprint(t.spec->keyText, t.seed,
+                                           t.slowdown))]
+            .push_back(std::move(t));
     for (auto &kv : byOwner) {
         Pending::Part part;
         for (auto &lp : links_)
-            if (lp->name == kv.first) {
+            if (lp->addr.name == kv.first) {
                 part.link = lp.get();
                 break;
             }
@@ -868,23 +767,28 @@ Router::commitPending(Pending &p)
             req.set("experiment", Json::str(p.experiment));
         if (p.deadlineMs)
             req.set("deadline_ms", Json::number(*p.deadlineMs));
-        // The canonical spec text dwarfs everything else on this
-        // wire (~6 KB vs ~100 B of coordinates per job). Hoist the
-        // first job's spec to the batch default and only spell out
-        // per-job specs that differ (mixed-spec experiment slices).
-        const std::string &defaultSpec = part.jobs.front().specText;
-        req.set("spec", Json::str(defaultSpec));
+        // The spec text dwarfs everything else on this wire (~5 KB
+        // vs ~100 B of coordinates per job), so each distinct spec
+        // is written once: the first as the batch-level "spec", any
+        // other (the next unit of an experiment slice) on the first
+        // job that runs it — a job without "spec" runs its
+        // predecessor's. The text is the key text: the Runner
+        // overwrites sys.trialSeed on every trial anyway.
+        const KeyedSpec *written = part.jobs.front().spec.get();
+        req.set("spec", Json::str(written->keyText));
         Json jobs = Json::array();
-        for (const PlannedJob &pj : part.jobs) {
+        for (const Trial &t : part.jobs) {
             Json j = Json::object();
-            if (pj.specText != defaultSpec)
-                j.set("spec", Json::str(pj.specText));
-            j.set("seed", Json::number(pj.seed));
-            j.set("slowdown", Json::boolean(pj.slowdown));
-            if (!pj.unit.empty())
-                j.set("unit", Json::str(pj.unit));
-            j.set("seq", Json::number(pj.seq));
-            j.set("trial", Json::number(pj.trial));
+            if (t.spec.get() != written) {
+                written = t.spec.get();
+                j.set("spec", Json::str(written->keyText));
+            }
+            j.set("seed", Json::number(t.seed));
+            j.set("slowdown", Json::boolean(t.slowdown));
+            if (!t.unit.empty())
+                j.set("unit", Json::str(t.unit));
+            j.set("seq", Json::number(t.seq));
+            j.set("trial", Json::number(t.trial));
             jobs.push(std::move(j));
         }
         req.set("jobs", std::move(jobs));
@@ -911,22 +815,26 @@ Router::failPending(Pending &p, const char *code,
     p.buffered.clear();
     // Hand back every reservation that was granted but never
     // committed (only possible while still in phase 1).
-    for (std::size_t i = 0; i < p.parts.size(); ++i) {
-        Pending::Part &part = p.parts[i];
-        if (part.state != Pending::Part::State::Reserved)
-            continue;
-        part.state = Pending::Part::State::Failed;
-        ++p.terminal;
-        if (part.link->up) {
-            Json rel = Json::object();
-            rel.set("op", Json::str("release"));
-            rel.set("reservation", Json::number(part.reservation));
-            OpRef ref;
-            ref.kind = OpRef::Kind::Release;
-            sendWorkerOp(*part.link, std::move(rel), ref);
-            rc().releases.inc();
-        }
-    }
+    for (std::size_t i = 0; i < p.parts.size(); ++i)
+        if (p.parts[i].state == Pending::Part::State::Reserved)
+            releasePart(p, i);
+}
+
+void
+Router::releasePart(Pending &p, std::size_t i)
+{
+    Pending::Part &part = p.parts[i];
+    part.state = Pending::Part::State::Failed;
+    ++p.terminal;
+    if (!part.link->up)
+        return;
+    Json rel = Json::object();
+    rel.set("op", Json::str("release"));
+    rel.set("reservation", Json::number(part.reservation));
+    OpRef ref;
+    ref.kind = OpRef::Kind::Release;
+    sendWorkerOp(*part.link, std::move(rel), ref);
+    rc().releases.inc();
 }
 
 void
@@ -944,8 +852,7 @@ Router::emitReadyRows(Pending &p)
         return;
     while (!p.buffered.empty()
            && p.buffered.begin()->first == p.nextSeq) {
-        p.client->conn.queueBytes(p.buffered.begin()->second.data(),
-                                  p.buffered.begin()->second.size());
+        p.client->conn.queueLine(p.buffered.begin()->second);
         p.buffered.erase(p.buffered.begin());
         ++p.nextSeq;
         rc().rowsMerged.inc();
@@ -959,9 +866,7 @@ Router::finishPending(Pending &p)
         emitReadyRows(p);
         // Stragglers (a seq gap from a dropped row) would stall the
         // cursor; a non-failed request has none by construction.
-        Json done = Json::object();
-        done.set("id", Json::number(p.clientId));
-        done.set("ev", Json::str("done"));
+        Json done = reply(p.clientId, "done");
         done.set("rows", Json::number(p.rows));
         done.set("cached", Json::number(p.cached));
         done.set("computed", Json::number(p.computed));
@@ -987,15 +892,16 @@ Router::finishPending(Pending &p)
 void
 Router::handleWorkerLine(WorkerLink *w, const std::string &line)
 {
+    // A reply the router cannot read exactly — not JSON, or a number
+    // that is not a plain u64 — is a protocol violation: cut the
+    // link, and markLinkDown settles every op still riding on it.
+    auto violation = [w] { w->conn.dead = true; };
     Json resp;
     std::string err;
-    if (!Json::parse(line, resp, &err) || !resp.isObject()) {
-        w->conn.dead = true; // protocol violation; cut the link
-        return;
-    }
     std::uint64_t id = 0;
-    if (const Json *j = resp.find("id"); j && j->isNumber())
-        id = j->asU64();
+    if (!Json::parse(line, resp, &err) || !resp.isObject()
+        || !replyCount(resp, "id", id))
+        return violation();
     const Json *evj = resp.find("ev");
     if (!evj || !evj->isString())
         return;
@@ -1012,38 +918,38 @@ Router::handleWorkerLine(WorkerLink *w, const std::string &line)
         Pending &p = *ref.pending;
         if (p.failed || !p.client)
             return; // optimistic streaming: late rows are dropped
-        Json row = resp;
-        row.set("id", Json::number(p.clientId));
-        const Json *seqj = p.experiment.empty() ? row.find("trial")
-                                                : row.find("seq");
-        if (!seqj || !seqj->isNumber())
-            return;
-        std::uint64_t seq = seqj->asU64();
-        std::string framed = row.dump();
+        std::uint64_t seq = 0;
+        if (!replyCount(resp, p.experiment.empty() ? "trial" : "seq",
+                        seq))
+            return violation();
+        resp.set("id", Json::number(p.clientId));
+        std::string framed = resp.dump();
         framed.push_back('\n');
         if (seq != p.nextSeq)
             rc().rowsBuffered.inc();
         p.buffered[seq] = std::move(framed);
         emitReadyRows(p);
-        flushConn(static_cast<Io *>(p.client), p.client->conn,
-                  p.client->conn.fd);
+        if (!std::exchange(p.client->rowsQueued, true))
+            rowsQueued_.push_back(p.client);
         return;
     }
 
     if (ev == "done") {
         if (ref.kind != OpRef::Kind::Run)
             return;
+        std::uint64_t rows, cached, computed, expired;
+        if (!replyCount(resp, "rows", rows)
+            || !replyCount(resp, "cached", cached)
+            || !replyCount(resp, "computed", computed)
+            || !replyCount(resp, "expired", expired))
+            return violation();
         ops_.erase(it);
         Pending &p = *ref.pending;
         Pending::Part &part = p.parts[ref.part];
-        auto acc = [&resp](const char *k) -> std::uint64_t {
-            const Json *j = resp.find(k);
-            return j && j->isNumber() ? j->asU64() : 0;
-        };
-        p.rows += acc("rows");
-        p.cached += acc("cached");
-        p.computed += acc("computed");
-        p.expired += acc("expired");
+        p.rows += rows;
+        p.cached += cached;
+        p.computed += computed;
+        p.expired += expired;
         if (part.state != Pending::Part::State::Done
             && part.state != Pending::Part::State::Failed) {
             part.state = Pending::Part::State::Done;
@@ -1056,24 +962,17 @@ Router::handleWorkerLine(WorkerLink *w, const std::string &line)
     if (ev == "reserved") {
         if (ref.kind != OpRef::Kind::Reserve)
             return;
+        std::uint64_t token = 0;
+        if (!replyCount(resp, "reservation", token))
+            return violation();
         ops_.erase(it);
         Pending &p = *ref.pending;
         Pending::Part &part = p.parts[ref.part];
-        const Json *tok = resp.find("reservation");
-        part.reservation =
-            tok && tok->isNumber() ? tok->asU64() : 0;
+        part.reservation = token;
         if (p.failed) {
             // Too late — a sibling shard already said no. Hand the
             // slots straight back.
-            part.state = Pending::Part::State::Failed;
-            ++p.terminal;
-            Json rel = Json::object();
-            rel.set("op", Json::str("release"));
-            rel.set("reservation", Json::number(part.reservation));
-            OpRef rref;
-            rref.kind = OpRef::Kind::Release;
-            sendWorkerOp(*w, std::move(rel), rref);
-            rc().releases.inc();
+            releasePart(p, ref.part);
             partTerminal(p);
             return;
         }
@@ -1095,32 +994,7 @@ Router::handleWorkerLine(WorkerLink *w, const std::string &line)
         std::string msg = msgj && msgj->isString()
                               ? msgj->asString()
                               : "shard error";
-        switch (ref.kind) {
-        case OpRef::Kind::Reserve:
-        case OpRef::Kind::Run: {
-            Pending &p = *ref.pending;
-            Pending::Part &part = p.parts[ref.part];
-            if (part.state != Pending::Part::State::Done
-                && part.state != Pending::Part::State::Failed) {
-                part.state = Pending::Part::State::Failed;
-                ++p.terminal;
-            }
-            failPending(p, code.c_str(),
-                        part.link->name + ": " + msg);
-            partTerminal(p);
-            break;
-        }
-        case OpRef::Kind::Stats:
-        case OpRef::Kind::Flush:
-            if (ref.fan && ref.fan->outstanding > 0) {
-                --ref.fan->outstanding;
-                finishFan(*ref.fan);
-            }
-            break;
-        case OpRef::Kind::Ping:
-        case OpRef::Kind::Release:
-            break;
-        }
+        failOp(ref, code, w->addr.name + ": " + msg);
         return;
     }
 
@@ -1133,22 +1007,20 @@ Router::handleWorkerLine(WorkerLink *w, const std::string &line)
 
     if (ev == "ok") {
         ops_.erase(it);
-        if (ref.kind == OpRef::Kind::Flush && ref.fan
-            && ref.fan->outstanding > 0) {
-            --ref.fan->outstanding;
-            finishFan(*ref.fan);
-        }
+        if (ref.kind == OpRef::Kind::Flush)
+            fanReplied(ref.fan);
         return;
     }
 
     if (ev == "stats") {
+        AdminFan *fan = ref.kind == OpRef::Kind::Stats ? ref.fan : nullptr;
+        const Json *stats = resp.find("stats");
+        if (fan && (!stats || !addCacheCounts(*stats, fan->experiments)))
+            return violation();
         ops_.erase(it);
-        if (ref.kind == OpRef::Kind::Stats && ref.fan) {
-            if (const Json *s = resp.find("stats"))
-                ref.fan->shards.set(w->name, *s);
-            if (ref.fan->outstanding > 0)
-                --ref.fan->outstanding;
-            finishFan(*ref.fan);
+        if (fan) {
+            fan->shards.set(w->addr.name, *stats);
+            fanReplied(fan);
         }
         return;
     }
@@ -1184,38 +1056,29 @@ Router::startFan(ClientConn *c, std::uint64_t id, bool stats)
 }
 
 void
+Router::fanReplied(AdminFan *f)
+{
+    if (f && f->outstanding > 0) {
+        --f->outstanding;
+        finishFan(*f);
+    }
+}
+
+void
 Router::finishFan(AdminFan &f)
 {
     if (f.outstanding > 0)
         return;
     if (f.client) {
-        Json resp = Json::object();
-        resp.set("id", Json::number(f.clientId));
+        Json resp = reply(f.clientId, f.stats ? "stats" : "ok");
         if (f.stats) {
-            resp.set("ev", Json::str("stats"));
             Json stats = Json::object();
             stats.set("role", Json::str("router"));
             stats.set("router", routerStatsJson());
             // Cross-shard ResultCache visibility: per-experiment
             // hit/miss totals summed over every shard's answer.
-            std::map<std::string,
-                     std::pair<std::uint64_t, std::uint64_t>>
-                agg;
-            for (const auto &kv : f.shards.members()) {
-                const Json *exps = kv.second.find("experiments");
-                if (!exps || !exps->isObject())
-                    continue;
-                for (const auto &ekv : exps->members()) {
-                    const Json *h = ekv.second.find("hits");
-                    const Json *m = ekv.second.find("misses");
-                    auto &slot = agg[ekv.first];
-                    slot.first += h && h->isNumber() ? h->asU64() : 0;
-                    slot.second +=
-                        m && m->isNumber() ? m->asU64() : 0;
-                }
-            }
             Json exps = Json::object();
-            for (const auto &kv : agg) {
+            for (const auto &kv : f.experiments) {
                 Json e = Json::object();
                 e.set("hits", Json::number(kv.second.first));
                 e.set("misses", Json::number(kv.second.second));
@@ -1224,8 +1087,6 @@ Router::finishFan(AdminFan &f)
             stats.set("experiments", std::move(exps));
             stats.set("shards", f.shards);
             resp.set("stats", std::move(stats));
-        } else {
-            resp.set("ev", Json::str("ok"));
         }
         sendToClient(f.client, resp);
         f.client->fans.erase(&f);
@@ -1255,7 +1116,7 @@ Router::routerStatsJson() const
               static_cast<std::uint64_t>(map_.size())));
     Json shards = Json::object();
     for (const auto &lp : links_)
-        shards.set(lp->name, Json::boolean(lp->up));
+        shards.set(lp->addr.name, Json::boolean(lp->up));
     j.set("shard_up", std::move(shards));
     j.set("pending_requests",
           Json::number(

@@ -54,6 +54,7 @@
 #include <vector>
 
 #include "base/json.hh"
+#include "serve/plan.hh"
 #include "serve/poller.hh"
 #include "serve/shard/shard_map.hh"
 
@@ -131,7 +132,6 @@ class Router
     struct WorkerLink;
     struct Pending;
     struct AdminFan;
-    struct PlannedJob;
 
     /** What an outstanding worker op (keyed by its router-chosen
      *  request id) was for, so the reply — or the link's death —
@@ -170,23 +170,31 @@ class Router
                          const char *code, const std::string &msg);
     std::uint64_t sendWorkerOp(WorkerLink &w, Json req, OpRef ref);
 
-    void handleSubmit(ClientConn *c, std::uint64_t id,
-                      const Json &req);
-    void handleRunExperiment(ClientConn *c, std::uint64_t id,
-                             const Json &req);
-    void startRequest(ClientConn *c, std::uint64_t id,
-                      std::string experiment,
-                      std::vector<PlannedJob> jobs,
-                      std::optional<std::uint64_t> deadline_ms);
+    /** submit and run_experiment: compile (serve/plan.hh), then
+     *  startRequest. */
+    void handleWork(ClientConn *c, const RequestHead &head);
+    /** Fingerprint the plan's trials onto the ring and send phase 1
+     *  (reserve) to every owning shard. */
+    void startRequest(ClientConn *c, std::uint64_t id, Plan plan);
     void startFan(ClientConn *c, std::uint64_t id, bool stats);
 
+    /** Settle @p ref, an op that failed (its link died, or the
+     *  worker answered an error): fail its request part with
+     *  @p code / @p msg, or count its fan-out shard as answered. */
+    void failOp(const OpRef &ref, const std::string &code,
+                const std::string &msg);
     void commitPending(Pending &p);
+    /** Fail part @p i of @p p, handing its granted reservation
+     *  back. */
+    void releasePart(Pending &p, std::size_t i);
     void failPending(Pending &p, const char *code,
                      const std::string &msg);
     void partTerminal(Pending &p);
     void finishPending(Pending &p);
     void emitReadyRows(Pending &p);
     void abandonPendingsOf(ClientConn *c);
+    /** One shard of fan-out @p f answered (or failed). */
+    void fanReplied(AdminFan *f);
     void finishFan(AdminFan &f);
 
     RouterConfig cfg_;
@@ -209,6 +217,8 @@ class Router
     std::list<std::unique_ptr<Pending>> pendings_;
     std::list<std::unique_ptr<AdminFan>> fans_;
     std::unordered_map<std::uint64_t, OpRef> ops_;
+    /** Clients given rows by the worker read being handled. */
+    std::vector<ClientConn *> rowsQueued_;
     std::uint64_t nextOpId_ = 1;
 
     Json routerStatsJson() const;

@@ -1,7 +1,11 @@
 #include "serve/shard/shard_map.hh"
 
+#include <arpa/inet.h>
+
 #include <algorithm>
-#include <string_view>
+
+#include "base/env.hh"
+#include "harness/specio.hh"
 
 namespace tw
 {
@@ -10,19 +14,6 @@ namespace serve
 
 namespace
 {
-
-/** FNV-1a, locally: the ring must not depend on std::hash (which
- *  varies by libc++ and would break cross-process determinism). */
-std::uint64_t
-fnv(std::string_view bytes)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : bytes) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 /** splitmix64 finalizer: FNV's low bits avalanche poorly for short
  *  inputs like "name#7"; this spreads every input bit over the
@@ -55,7 +46,7 @@ ShardMap::pointHash(const std::string &m, unsigned v)
     std::string tagged = m;
     tagged.push_back('#');
     tagged += std::to_string(v);
-    return mix(fnv(tagged));
+    return mix(fnv1a64(tagged));
 }
 
 void
@@ -119,6 +110,49 @@ ShardMap::owner(std::uint64_t key) const
     static const std::string empty;
     std::size_t idx = ownerIndex(key);
     return idx < members_.size() ? members_[idx] : empty;
+}
+
+bool
+parseShardAddress(const std::string &addr, ShardAddress &out,
+                  std::string &err)
+{
+    out = ShardAddress{addr, "", 0};
+    if (addr.find('/') != std::string::npos)
+        return true;
+    std::size_t colon = addr.rfind(':');
+    std::uint64_t port = 0;
+    in_addr ip;
+    if (colon == std::string::npos
+        || !parseDecimal(addr.c_str() + colon + 1, 65535, port)
+        || port == 0) {
+        err = "shard '" + addr
+              + "' is neither a socket path nor host:port with a port "
+                "in 1..65535";
+        return false;
+    }
+    out.host = addr.substr(0, colon);
+    if (::inet_pton(AF_INET, out.host.c_str(), &ip) != 1) {
+        err = "shard '" + addr + "': '" + out.host
+              + "' is not an IPv4 address";
+        return false;
+    }
+    out.port = static_cast<int>(port);
+    return true;
+}
+
+bool
+parseShardList(const std::string &list, std::vector<ShardAddress> &out,
+               std::string &err)
+{
+    out.clear();
+    for (std::size_t at = 0; at <= list.size();) {
+        std::size_t comma = std::min(list.find(',', at), list.size());
+        if (!parseShardAddress(list.substr(at, comma - at),
+                               out.emplace_back(), err))
+            return false;
+        at = comma + 1;
+    }
+    return true;
 }
 
 } // namespace serve

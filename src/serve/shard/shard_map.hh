@@ -113,6 +113,31 @@ class ShardMap
     std::vector<Point> ring_;          //!< sorted by hash
 };
 
+/**
+ * One pool member's address: a unix socket path (any string with a
+ * '/') or IPv4 "host:port" with a port in 1..65535. The address
+ * string itself is the ring member name, so router and
+ * `twctl shard-owner --pool` agree on ownership.
+ */
+struct ShardAddress
+{
+    std::string name;
+    std::string host; //!< empty for a unix socket
+    int port = 0;     //!< 0 for a unix socket
+
+    bool isUnix() const { return port == 0; }
+};
+
+/** Parse one member address; false + @p err if it is malformed. */
+bool parseShardAddress(const std::string &addr, ShardAddress &out,
+                       std::string &err);
+
+/** Parse a comma-separated member list ("A,B,..."): every member
+ *  must parse, so an empty one (a doubled or trailing comma) is an
+ *  error too. False + @p err otherwise. */
+bool parseShardList(const std::string &list,
+                    std::vector<ShardAddress> &out, std::string &err);
+
 } // namespace serve
 } // namespace tw
 

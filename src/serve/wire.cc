@@ -10,46 +10,41 @@
 #include <unistd.h>
 
 #include "base/logging.hh"
+#include "obs/metrics.hh"
 
 namespace tw
 {
 namespace serve
 {
 
-bool
-readSeeds(const Json &req, std::vector<std::uint64_t> &out,
-          std::string &err)
+Json
+reply(std::uint64_t id, const char *ev)
 {
-    const Json *seeds = req.find("seeds");
-    if (!seeds || !seeds->isArray() || seeds->size() == 0) {
-        err = "seeds must be a non-empty array";
-        return false;
-    }
-    out.assign(seeds->size(), 0);
-    for (std::size_t i = 0; i < seeds->size(); ++i) {
-        if (!seeds->at(i).toUnsigned(UINT64_MAX, out[i])) {
-            err = "seeds must be non-negative integers";
-            return false;
-        }
-    }
-    return true;
+    Json j = Json::object();
+    j.set("id", Json::number(id));
+    j.set("ev", Json::str(ev));
+    return j;
 }
 
-bool
-readDeadlineMs(const Json &req, std::optional<std::uint64_t> &out,
-               std::string &err)
+Json
+errorReply(std::uint64_t id, const char *code, const std::string &msg)
 {
-    out.reset();
-    const Json *j = req.find("deadline_ms");
-    if (!j)
-        return true;
-    std::uint64_t ms = 0;
-    if (!j->toUnsigned(kMaxDeadlineMs, ms)) {
-        err = "deadline_ms must be an integer in 0..1000000000000";
-        return false;
-    }
-    out = ms;
-    return true;
+    Json j = reply(id, "error");
+    j.set("code", Json::str(code));
+    j.set("msg", Json::str(msg));
+    return j;
+}
+
+Json
+metricsReply(std::uint64_t id, const Json &req)
+{
+    Json j = reply(id, "metrics");
+    const Json *format = req.find("format");
+    if (format && format->isString() && format->asString() == "prom")
+        j.set("prom", Json::str(obs::registry().promText()));
+    else
+        j.set("metrics", obs::registry().snapshotJson());
+    return j;
 }
 
 bool

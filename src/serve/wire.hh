@@ -19,9 +19,7 @@
 #define TW_SERVE_WIRE_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "base/json.hh"
 
@@ -35,23 +33,20 @@ inline constexpr const char *kErrBadRequest = "bad_request";
 inline constexpr const char *kErrOverloaded = "overloaded";
 inline constexpr const char *kErrShuttingDown = "shutting_down";
 
-/**
- * A sweep request's "seeds": a non-empty array of plain decimal
- * integers (Json::toUnsigned — "1.5", "-1" and "1e3" are refused,
- * never truncated or clamped). False + @p err otherwise.
- */
-bool readSeeds(const Json &req, std::vector<std::uint64_t> &out,
-               std::string &err);
-
 /** Largest "deadline_ms" (about 31 years): now() plus this many
  *  milliseconds cannot overflow the clock's 64-bit nanoseconds. */
 inline constexpr std::uint64_t kMaxDeadlineMs = 1000000000000ull;
 
-/** A request's optional "deadline_ms", one plain decimal integer no
- *  greater than kMaxDeadlineMs; absent leaves @p out empty. False +
- *  @p err otherwise. */
-bool readDeadlineMs(const Json &req, std::optional<std::uint64_t> &out,
-                    std::string &err);
+/** A response head, {"id":@p id, "ev":@p ev}. */
+Json reply(std::uint64_t id, const char *ev);
+
+/** An "ev":"error" response. */
+Json errorReply(std::uint64_t id, const char *code, const std::string &msg);
+
+/** The `metrics` op's response: the whole-process registry (engine
+ *  counters next to serve counters), as JSON, or as Prometheus text
+ *  when @p req says "format":"prom". */
+Json metricsReply(std::uint64_t id, const Json &req);
 
 /** Write all of @p data to @p fd (EINTR-safe, SIGPIPE-free). */
 bool sendAll(int fd, const char *data, std::size_t len);

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -133,6 +134,48 @@ TEST(Runner, BaselineEvictionRecomputesBitIdentically)
 
     // Restore the default for the rest of the suite.
     Runner::setBaselineCacheCapacity(4096);
+    Runner::clearBaselineCache();
+}
+
+TEST(Runner, BaselineMemoKeysOnTheWholeMachine)
+{
+    // The baseline is a pure function of the workload, the system
+    // and the trial seed, so the memo must key on all of them: a
+    // spec that differs from an earlier one only in a field the key
+    // left out would be handed the earlier spec's baseline.
+    RunSpec base = tapewormSpec();
+    auto variant = [&base](auto edit) {
+        RunSpec v = base;
+        edit(v);
+        return v;
+    };
+    std::vector<RunSpec> variants = {
+        variant([](RunSpec &v) {
+            v.workload.syscallsPer1k = v.workload.syscallsPer1k * 4 + 1;
+        }),
+        variant([](RunSpec &v) { v.workload.storeEvery += 3; }),
+        variant([](RunSpec &v) { v.sys.reservedFrames += 64; }),
+        variant([](RunSpec &v) { v.sys.maskedSyscallPrefix += 40; }),
+    };
+    auto alone = [](const RunSpec &spec) {
+        Runner::clearBaselineCache();
+        return Runner::runWithSlowdown(spec, 7);
+    };
+    Cycles baseCycles = alone(base).normalCycles;
+    // The workload edit moves the uninstrumented run, so a shared
+    // memo entry would show.
+    ASSERT_NE(alone(variants[0]).normalCycles, baseCycles);
+
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+        RunOutcome expect = alone(variants[i]);
+        Runner::clearBaselineCache();
+        Runner::runWithSlowdown(base, 7);
+        RunOutcome after = Runner::runWithSlowdown(variants[i], 7);
+        EXPECT_EQ(after.normalCycles, expect.normalCycles)
+            << "variant " << i;
+        EXPECT_DOUBLE_EQ(after.slowdown, expect.slowdown)
+            << "variant " << i;
+    }
     Runner::clearBaselineCache();
 }
 

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/logging.hh"
@@ -612,6 +613,30 @@ currentPins()
                     fnv1a64(formatRunOutcome(goldenOutcome(false)))});
     pins.push_back({"@outcome", "sampled",
                     fnv1a64(formatRunOutcome(goldenOutcome(true)))});
+
+    // Trial fingerprints (the shard owner of a served row): the
+    // corner specs and the first unit of every experiment, at two
+    // seeds and both slowdown flags.
+    std::vector<std::pair<std::string, RunSpec>> fpSpecs = {
+        {"plain", sampleSpec()},
+        {"contorted", contortedSpec()},
+        {"dram", dram},
+        {"sampled", sampled}};
+    for (const std::string &name : registry.names()) {
+        std::vector<ExperimentUnit> grid = registry.find(name)->grid(2000);
+        if (!grid.empty())
+            fpSpecs.emplace_back(name + "/" + grid.front().id,
+                                 grid.front().spec);
+    }
+    for (const auto &[name, spec] : fpSpecs)
+        for (std::uint64_t seed : {1ull, 0x9e3779b97f4a7c15ull})
+            for (bool slowdown : {false, true})
+                pins.push_back(
+                    {"@fingerprint",
+                     csprintf("%s#%llu#%d", name.c_str(),
+                              static_cast<unsigned long long>(seed),
+                              slowdown ? 1 : 0),
+                     specFingerprint(spec, seed, slowdown)});
     return pins;
 }
 

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -25,6 +27,7 @@
 #include "serve/client.hh"
 #include "serve/server.hh"
 #include "serve/shard/router.hh"
+#include "serve/wire.hh"
 
 namespace tw
 {
@@ -347,6 +350,134 @@ TEST(Router, EmptyRingRejectsInsteadOfHanging)
     EXPECT_TRUE(res.errorCode == serve::kErrShardFailed
                 || res.errorCode == serve::kErrShuttingDown)
         << res.errorCode;
+}
+
+TEST(Router, RequestIdMustBeAPlainUnsigned)
+{
+    Pool pool(1);
+    std::string err;
+    int fd = serve::connectUnixSocket(pool.routerPath, &err);
+    ASSERT_GE(fd, 0) << err;
+    serve::LineReader reader(fd);
+    std::string line;
+
+    // The router reads the request head through the same code as a
+    // worker: a bad id is refused with id 0, never truncated or cast.
+    for (const char *id : {"1.5", "-3", "\"7\"", "1e30"}) {
+        ASSERT_TRUE(serve::sendLine(
+            fd, std::string("{\"id\":") + id + ",\"op\":\"ping\"}"));
+        ASSERT_EQ(reader.readLine(line), serve::LineReader::Status::Line);
+        Json resp;
+        ASSERT_TRUE(Json::parse(line, resp, nullptr)) << line;
+        ASSERT_EQ(resp.find("ev")->asString(), "error") << id;
+        EXPECT_EQ(resp.find("code")->asString(), serve::kErrBadRequest);
+        EXPECT_EQ(resp.find("id")->lexeme(), "0") << id;
+    }
+    ::close(fd);
+}
+
+TEST(Router, TrialSeedOfTheSpecDoesNotChangeRows)
+{
+    // The router forwards each spec's key text, whose sys.trialSeed
+    // is 0; the Runner overwrites it with the trial seed, so a spec
+    // submitted with any other trialSeed still gives the direct rows.
+    Runner::clearBaselineCache();
+    Pool pool(2);
+    RunSpec spec = smallSpec();
+    spec.sys.trialSeed = 987654321;
+    std::vector<std::uint64_t> seeds = {3, 4, 5};
+
+    Client client;
+    std::string err;
+    ASSERT_TRUE(client.connectUnix(pool.routerPath, &err)) << err;
+    SweepResult res = client.submitSweep(spec, seeds, true);
+    ASSERT_TRUE(res.ok) << res.errorCode << " " << res.errorMsg;
+    std::vector<RunOutcome> served = res.outcomes();
+    ASSERT_EQ(served.size(), seeds.size());
+    for (std::size_t t = 0; t < seeds.size(); ++t)
+        EXPECT_EQ(formatRunOutcome(served[t]),
+                  formatRunOutcome(Runner::runWithSlowdown(spec, seeds[t])))
+            << "trial " << t;
+}
+
+TEST(Router, MalformedShardAddressFailsStart)
+{
+    for (const char *bad : {"127.0.0.1", "127.0.0.1:7x", "127.0.0.1:0",
+                            "127.0.0.1:65536", "127.0.0.1:-1",
+                            "localhost:7733", ""}) {
+        RouterConfig rcfg;
+        rcfg.socketPath = freshPath("badshard");
+        rcfg.shards = {bad};
+        Router router(rcfg);
+        std::string err;
+        EXPECT_FALSE(router.start(&err)) << bad;
+        EXPECT_NE(err.find("shard"), std::string::npos) << err;
+        EXPECT_NE(::access(rcfg.socketPath.c_str(), F_OK), 0)
+            << "bound a socket for " << bad;
+    }
+}
+
+TEST(Router, MalformedWorkerReplyCutsTheLink)
+{
+    // A worker that grants a reservation token of 1.5 is broken or
+    // hostile: the router must not truncate the token to 1 and go on
+    // to commit, but cut the link and fail the request typed.
+    std::string workerPath = freshPath("fake");
+    std::string err;
+    int listenFd = serve::listenUnixSocket(workerPath, &err);
+    ASSERT_GE(listenFd, 0) << err;
+    std::thread fake([listenFd] {
+        pollfd ready{listenFd, POLLIN, 0};
+        if (::poll(&ready, 1, 5000) != 1)
+            return;
+        int fd = ::accept(listenFd, nullptr, nullptr);
+        if (fd < 0)
+            return;
+        serve::LineReader reader(fd);
+        std::string line;
+        while (reader.readLine(line) == serve::LineReader::Status::Line) {
+            Json req;
+            if (!Json::parse(line, req, nullptr))
+                break;
+            std::string id = req.find("id")->lexeme();
+            std::string op = req.find("op")->asString();
+            std::string reply = "{\"id\":" + id;
+            if (op == "ping")
+                reply += ",\"ev\":\"pong\"}";
+            else if (op == "reserve")
+                reply += ",\"ev\":\"reserved\",\"reservation\":1.5,"
+                         "\"jobs\":1}";
+            else
+                reply += ",\"ev\":\"error\",\"code\":\"overloaded\","
+                         "\"msg\":\"fake worker\"}";
+            serve::sendLine(fd, reply);
+        }
+        ::close(fd);
+    });
+
+    RouterConfig rcfg;
+    rcfg.socketPath = freshPath("r");
+    rcfg.shards = {workerPath};
+    rcfg.healthIntervalMs = 100;
+    Router router(rcfg);
+    // No ASSERT until the fake worker is joined.
+    bool up = router.start(&err);
+    for (int spins = 0; up && router.upShardCount() < 1 && spins < 200;
+         ++spins)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    Client client;
+    if (up && router.upShardCount() == 1
+        && client.connectUnix(rcfg.socketPath, &err)) {
+        SweepResult res = client.submitSweep(smallSpec(), {1}, true);
+        EXPECT_FALSE(res.ok);
+        EXPECT_EQ(res.errorCode, serve::kErrShardFailed) << res.errorMsg;
+    } else {
+        ADD_FAILURE() << "router never reached the fake worker: " << err;
+    }
+    router.stop();
+    fake.join();
+    ::close(listenFd);
+    ::unlink(workerPath.c_str());
 }
 
 } // namespace

@@ -1107,5 +1107,115 @@ TEST(Server, TcpListenerServesToo)
     delete started;
 }
 
+TEST(Server, RequestIdMustBeAPlainUnsigned)
+{
+    std::string path = freshSocketPath("id");
+    Server server(baseConfig(path));
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+
+    int fd = serve::connectUnixSocket(path, &err);
+    ASSERT_GE(fd, 0) << err;
+    serve::LineReader reader(fd);
+    std::string line;
+
+    // An id is echoed exactly or refused: never truncated (1.5 as
+    // 1), zeroed (-3, "7") or cast out of range (1e30).
+    for (const char *id : {"1.5", "-3", "\"7\"", "1e30"}) {
+        ASSERT_TRUE(serve::sendLine(
+            fd, std::string("{\"id\":") + id + ",\"op\":\"ping\"}"));
+        ASSERT_EQ(reader.readLine(line), serve::LineReader::Status::Line);
+        Json resp;
+        ASSERT_TRUE(Json::parse(line, resp, nullptr)) << line;
+        ASSERT_EQ(resp.find("ev")->asString(), "error") << id;
+        EXPECT_EQ(resp.find("code")->asString(), serve::kErrBadRequest);
+        EXPECT_EQ(resp.find("id")->lexeme(), "0") << id;
+    }
+    ASSERT_TRUE(serve::sendLine(
+        fd, "{\"id\":18446744073709551615,\"op\":\"ping\"}"));
+    ASSERT_EQ(reader.readLine(line), serve::LineReader::Status::Line);
+    EXPECT_NE(line.find("\"id\":18446744073709551615,\"ev\":\"pong\""),
+              std::string::npos)
+        << line;
+    ::close(fd);
+    server.stop();
+    EXPECT_EQ(server.metrics().badRequests.value(), 4u);
+}
+
+TEST(Server, EveryWorkOpKeysATrialAlike)
+{
+    // run_experiment, run_jobs and submit compile to the same
+    // trials: a spec, seed and slowdown flag name one cache entry
+    // whichever op carries them.
+    std::string path = freshSocketPath("ops");
+    Server server(baseConfig(path));
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+
+    const ExperimentDef *def =
+        ExperimentRegistry::instance().find("smoke");
+    ASSERT_NE(def, nullptr);
+    std::vector<ExperimentJob> jobs = experimentJobs(*def, 4000);
+
+    Client client;
+    ASSERT_TRUE(client.connectUnix(path, &err)) << err;
+    serve::ExperimentResult first = client.runExperiment("smoke", 4000);
+    ASSERT_TRUE(first.ok) << first.errorMsg;
+    ASSERT_EQ(first.rows.size(), jobs.size());
+    EXPECT_EQ(first.computed, jobs.size());
+
+    // The same trials as one run_jobs batch, each with its own spec.
+    int fd = serve::connectUnixSocket(path, &err);
+    ASSERT_GE(fd, 0) << err;
+    serve::LineReader reader(fd);
+    Json run = Json::object();
+    run.set("id", Json::number(std::uint64_t{1}));
+    run.set("op", Json::str("run_jobs"));
+    run.set("experiment", Json::str("smoke"));
+    Json batch = Json::array();
+    for (const ExperimentJob &job : jobs) {
+        Json j = Json::object();
+        j.set("spec", Json::str(formatRunSpec(job.spec)));
+        j.set("seed", Json::number(job.seed));
+        j.set("slowdown", Json::boolean(job.withSlowdown));
+        j.set("unit", Json::str(job.unit));
+        j.set("seq", Json::number(job.seq));
+        j.set("trial", Json::number(job.trial));
+        batch.push(std::move(j));
+    }
+    run.set("jobs", std::move(batch));
+    std::vector<Json> evs = roundTrip(fd, reader, run);
+    ASSERT_EQ(evs.size(), jobs.size() + 1);
+    EXPECT_EQ(evs.back().find("ev")->asString(), "done");
+    EXPECT_EQ(evs.back().find("cached")->asU64(), jobs.size());
+    EXPECT_EQ(evs.back().find("computed")->asU64(), 0u);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        std::uint64_t seq = evs[i].find("seq")->asU64();
+        ASSERT_LT(seq, first.rows.size());
+        EXPECT_EQ(evs[i].find("outcome")->dump(),
+                  formatRunOutcome(first.rows[seq].outcome))
+            << "seq " << seq;
+    }
+    ::close(fd);
+
+    // One unit's seeds as a plain submit.
+    std::vector<std::uint64_t> seeds;
+    for (const ExperimentJob &job : jobs)
+        if (job.unit == jobs.front().unit)
+            seeds.push_back(job.seed);
+    SweepResult res = client.submitSweep(jobs.front().spec, seeds,
+                                         jobs.front().withSlowdown);
+    ASSERT_TRUE(res.ok) << res.errorMsg;
+    EXPECT_EQ(res.cached, seeds.size());
+    EXPECT_EQ(res.computed, 0u);
+    std::vector<RunOutcome> outs = res.outcomes();
+    ASSERT_EQ(outs.size(), seeds.size());
+    for (std::size_t t = 0; t < seeds.size(); ++t)
+        EXPECT_EQ(formatRunOutcome(outs[t]),
+                  formatRunOutcome(first.rows[t].outcome))
+            << "trial " << t;
+    server.stop();
+}
+
 } // namespace
 } // namespace tw

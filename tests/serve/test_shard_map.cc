@@ -186,5 +186,33 @@ TEST(ShardMap, VnodeCountTradesBalanceNotCorrectness)
         ASSERT_EQ(coarse.owner(keyAt(i)), coarse2.owner(keyAt(i)));
 }
 
+TEST(ShardAddress, ListsParseStrictly)
+{
+    std::vector<serve::ShardAddress> pool;
+    std::string err;
+    ASSERT_TRUE(serve::parseShardList("/tmp/w0.sock,127.0.0.1:7733,./w1",
+                                      pool, err))
+        << err;
+    ASSERT_EQ(pool.size(), 3u);
+    EXPECT_TRUE(pool[0].isUnix());
+    EXPECT_EQ(pool[0].name, "/tmp/w0.sock");
+    EXPECT_FALSE(pool[1].isUnix());
+    EXPECT_EQ(pool[1].name, "127.0.0.1:7733");
+    EXPECT_EQ(pool[1].host, "127.0.0.1");
+    EXPECT_EQ(pool[1].port, 7733);
+    EXPECT_TRUE(pool[2].isUnix());
+
+    // A port is 1..65535 in plain decimal, a host an IPv4 address,
+    // and every comma separates two members.
+    for (const char *bad :
+         {"127.0.0.1", "127.0.0.1:7x", "127.0.0.1:", "127.0.0.1:0",
+          "127.0.0.1:65536", "127.0.0.1:+80", "localhost:80", ":80", "",
+          "/a,,/b", "/a,", ",/a"}) {
+        err.clear();
+        EXPECT_FALSE(serve::parseShardList(bad, pool, err)) << bad;
+        EXPECT_FALSE(err.empty()) << bad;
+    }
+}
+
 } // namespace
 } // namespace tw

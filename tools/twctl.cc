@@ -439,15 +439,13 @@ main(int argc, char **argv)
     if (command == "shard-owner") {
         if (poolList.empty())
             fatal("shard-owner wants --pool A,B,...");
+        std::vector<ShardAddress> pool;
+        std::string perr;
+        if (!parseShardList(poolList, pool, perr))
+            fatal("--pool: %s", perr.c_str());
         std::vector<std::string> members;
-        for (std::size_t at = 0; at < poolList.size();) {
-            std::size_t comma = poolList.find(',', at);
-            if (comma == std::string::npos)
-                comma = poolList.size();
-            if (comma > at)
-                members.push_back(poolList.substr(at, comma - at));
-            at = comma + 1;
-        }
+        for (const ShardAddress &a : pool)
+            members.push_back(a.name);
         ShardMap map(members, poolVnodes ? poolVnodes
                                          : ShardMap::kDefaultVnodes);
         for (std::uint64_t s : sweep.seeds) {

@@ -19,7 +19,9 @@
  *            --queue 512 --cache 8192
  */
 
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,6 +29,7 @@
 #include <string>
 #include <thread>
 
+#include "base/env.hh"
 #include "base/logging.hh"
 #include "obs/trace.hh"
 #include "serve/server.hh"
@@ -91,6 +94,32 @@ usage()
         "exits 0)\nor with `twctl shutdown`.\n");
 }
 
+/** Run @p service until a SIGTERM/SIGINT (@p sigs, blocked in every
+ *  thread) or a `shutdown` op has drained it. */
+template <typename Service>
+int
+serveUntilDrained(Service &service, sigset_t &sigs, bool verbose)
+{
+    std::thread watcher([&] {
+        while (true) {
+            int sig = 0;
+            if (sigwait(&sigs, &sig) != 0)
+                continue;
+            if (sig == SIGUSR1)
+                return; // main is done; unblocked for join
+            if (verbose)
+                std::fprintf(stderr, "twserved: %s, draining...\n",
+                             strsignal(sig));
+            service.requestStop();
+        }
+    });
+    service.join();
+    pthread_kill(watcher.native_handle(), SIGUSR1);
+    watcher.join();
+    obs::traceStop(); // writes TW_TRACE, if armed
+    return 0;
+}
+
 } // namespace
 
 int
@@ -112,40 +141,38 @@ main(int argc, char **argv)
                 fatal("%s needs a value", arg.c_str());
             return argv[++i];
         };
+        auto number = [&](std::uint64_t max) {
+            return decimalKnob(arg.c_str(), value().c_str(), max);
+        };
         if (arg == "--help") {
             usage();
             return 0;
         } else if (arg == "--socket") {
             cfg.socketPath = value();
         } else if (arg == "--tcp") {
-            cfg.tcpPort = std::atoi(value().c_str());
+            cfg.tcpPort = static_cast<int>(number(65535));
+            if (cfg.tcpPort == 0)
+                fatal("--tcp: 0 is not a port (1..65535)");
         } else if (arg == "--bind") {
             cfg.tcpBind = value();
         } else if (arg == "--workers") {
-            cfg.workers =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            cfg.workers = static_cast<unsigned>(number(UINT_MAX));
         } else if (arg == "--queue") {
-            cfg.queueCapacity = static_cast<std::size_t>(
-                std::atoll(value().c_str()));
+            cfg.queueCapacity = number(SIZE_MAX);
         } else if (arg == "--cache") {
-            cfg.cacheCapacity = static_cast<std::size_t>(
-                std::atoll(value().c_str()));
+            cfg.cacheCapacity = number(SIZE_MAX);
         } else if (arg == "--baseline-cap") {
-            baselineCap = static_cast<std::size_t>(
-                std::atoll(value().c_str()));
+            baselineCap = number(SIZE_MAX);
         } else if (arg == "--send-timeout") {
-            cfg.sendTimeoutMs =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            cfg.sendTimeoutMs = static_cast<unsigned>(number(UINT_MAX));
         } else if (arg == "--router") {
             routerMode = true;
         } else if (arg == "--shards") {
             shardsArg = value();
         } else if (arg == "--vnodes") {
-            vnodes =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            vnodes = static_cast<unsigned>(number(UINT_MAX));
         } else if (arg == "--health-interval") {
-            healthIntervalMs =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            healthIntervalMs = static_cast<unsigned>(number(UINT_MAX));
         } else if (arg == "--quiet") {
             cfg.verbose = false;
         } else {
@@ -178,6 +205,7 @@ main(int argc, char **argv)
     sigaddset(&sigs, SIGUSR1);
     pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
 
+    std::string err;
     if (routerMode) {
         RouterConfig rcfg;
         rcfg.socketPath = cfg.socketPath;
@@ -187,72 +215,24 @@ main(int argc, char **argv)
         if (vnodes)
             rcfg.vnodes = vnodes;
         rcfg.healthIntervalMs = healthIntervalMs;
-        for (std::size_t at = 0; at < shardsArg.size();) {
-            std::size_t comma = shardsArg.find(',', at);
-            if (comma == std::string::npos)
-                comma = shardsArg.size();
-            if (comma > at)
-                rcfg.shards.push_back(
-                    shardsArg.substr(at, comma - at));
-            at = comma + 1;
-        }
-        if (rcfg.shards.empty()) {
+        if (shardsArg.empty()) {
             usage();
             fatal("--router requires --shards A,B,...");
         }
+        std::vector<ShardAddress> shards;
+        if (!parseShardList(shardsArg, shards, err))
+            fatal("--shards: %s", err.c_str());
+        for (const ShardAddress &a : shards)
+            rcfg.shards.push_back(a.name);
 
         Router router(rcfg);
-        std::string err;
         if (!router.start(&err))
             fatal("cannot start router: %s", err.c_str());
-
-        std::thread watcher([&] {
-            while (true) {
-                int sig = 0;
-                if (sigwait(&sigs, &sig) != 0)
-                    continue;
-                if (sig == SIGUSR1)
-                    return;
-                if (cfg.verbose)
-                    std::fprintf(stderr,
-                                 "twserved: %s, draining...\n",
-                                 strsignal(sig));
-                router.requestStop();
-            }
-        });
-
-        router.join();
-        pthread_kill(watcher.native_handle(), SIGUSR1);
-        watcher.join();
-        obs::traceStop();
-        return 0;
+        return serveUntilDrained(router, sigs, cfg.verbose);
     }
 
     Server server(cfg);
-    std::string err;
     if (!server.start(&err))
         fatal("cannot start: %s", err.c_str());
-
-    std::thread watcher([&] {
-        while (true) {
-            int sig = 0;
-            if (sigwait(&sigs, &sig) != 0)
-                continue;
-            if (sig == SIGUSR1)
-                return; // main is done; unblocked for join
-            if (cfg.verbose)
-                std::fprintf(stderr,
-                             "twserved: %s, draining...\n",
-                             strsignal(sig));
-            server.requestStop();
-        }
-    });
-
-    // Blocks until a SIGTERM/SIGINT or a `shutdown` op drains the
-    // server.
-    server.join();
-    pthread_kill(watcher.native_handle(), SIGUSR1);
-    watcher.join();
-    obs::traceStop(); // writes TW_TRACE, if armed
-    return 0;
+    return serveUntilDrained(server, sigs, cfg.verbose);
 }
